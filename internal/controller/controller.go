@@ -459,6 +459,7 @@ func (c *Controller) Execute() *metrics.Result {
 	}
 	res := c.collector.Finalize(cold, warm, unfinished, utilCPU, utilGPU, c.engine.Now())
 	res.InstanceLivePeak = c.instLivePeak
+	res.Truncated = c.truncated
 	return res
 }
 

@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -237,5 +239,40 @@ func TestAblationSchedulersComplete(t *testing.T) {
 		if res.Unfinished != 0 {
 			t.Errorf("%s left %d unfinished", s.Name(), res.Unfinished)
 		}
+	}
+}
+
+func TestDrainDeadlineTruncationSurfaced(t *testing.T) {
+	// A run cut off at the drain deadline must say so in its Result, its
+	// summary and its JSON export; a run that drains says nothing.
+	res, err := Run(quickConfig(workflow.Moderate), core.New(), lightTrace(120, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated || strings.Contains(res.Summary(), "truncated") {
+		t.Errorf("drained run reported truncated: %s", res.Summary())
+	}
+
+	cfg := quickConfig(workflow.Moderate)
+	cfg.DrainTimeout = time.Nanosecond
+	res, err = Run(cfg, core.New(), lightTrace(120, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Truncated {
+		t.Fatalf("run with a 1ns drain timeout not reported truncated (unfinished %d)", res.Unfinished)
+	}
+	if res.Unfinished == 0 {
+		t.Errorf("truncated run left no unfinished instances")
+	}
+	if !strings.Contains(res.Summary(), " truncated") {
+		t.Errorf("summary omits truncation: %s", res.Summary())
+	}
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf, false); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"truncated": true`) {
+		t.Errorf("JSON export omits truncation")
 	}
 }

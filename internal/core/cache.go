@@ -414,7 +414,6 @@ func (c *PlanCache) Search(in SearchInput, sig string) SearchResult {
 	// cache never serialize on each other's searches; a racing duplicate
 	// insert is benign (identical inputs give identical results).
 	res, computedAt, resumed := c.searchCold(in, ikey)
-	res = freezeResult(res)
 
 	c.mu.Lock()
 	if resumed {
@@ -463,6 +462,10 @@ func (c *PlanCache) Search(in SearchInput, sig string) SearchResult {
 func (c *PlanCache) searchCold(in SearchInput, ikey intervalKey) (res SearchResult, computedAt time.Duration, resumed bool) {
 	slot := c.lockSlot(ikey)
 	defer slot.mu.Unlock()
+	// Freeze while the slot is held: the retained state shares the
+	// result's storage, and later callers of the group read it only under
+	// the slot lock.
+	defer func() { res = freezeResult(res) }()
 
 	s := c.searchers.Get().(*Searcher)
 	defer c.searchers.Put(s)
@@ -574,11 +577,14 @@ func (c *PlanCache) indexIntervalLocked(ikey intervalKey, res SearchResult, comp
 // freezeResult caps both slice levels of the result so a caller's append
 // can never write into the shared storage (appends copy instead). Element
 // writes remain physically possible — that is what CheckMutations detects.
+// An already-frozen path is not written again: a result a retained state
+// answers with is shared, and concurrent readers may hold it.
 func freezeResult(res SearchResult) SearchResult {
 	res.Paths = res.Paths[:len(res.Paths):len(res.Paths)]
 	for i := range res.Paths {
-		p := &res.Paths[i]
-		p.Ests = p.Ests[:len(p.Ests):len(p.Ests)]
+		if p := &res.Paths[i]; cap(p.Ests) != len(p.Ests) {
+			p.Ests = p.Ests[:len(p.Ests):len(p.Ests)]
+		}
 	}
 	return res
 }

@@ -345,6 +345,27 @@ func TestPlanCacheResumeTighterTarget(t *testing.T) {
 	if !reflect.DeepEqual(got.Paths, fresh.Paths) || got.Feasible != fresh.Feasible {
 		t.Errorf("resumed search differs from a fresh search at the quantized target")
 	}
+
+	// Resuming a feasible retained search into an infeasible target
+	// drains. The drain must read the retained unpruned lists, exactly as
+	// a fresh search does: on the 256-config space the K-dominance prune
+	// removes the drain's per-job-fastest configurations.
+	big := testOracle()
+	c = NewPlanCache(16, 5*time.Millisecond)
+	if !c.Search(cacheInput(big, 5*time.Second), sig).Feasible {
+		t.Fatal("loose search infeasible")
+	}
+	inf := c.Search(cacheInput(big, 5*time.Millisecond), sig)
+	if st := c.Stats(); st.Resumes != 1 || st.Misses != 1 {
+		t.Fatalf("stats after infeasible lookup: %+v (want 1 resume, 1 miss)", st)
+	}
+	fresh = freshAtQuantized(c, cacheInput(big, 5*time.Millisecond))
+	if inf.Feasible || fresh.Feasible {
+		t.Fatal("5ms target reported feasible")
+	}
+	if !reflect.DeepEqual(inf.Paths, fresh.Paths) {
+		t.Errorf("resumed drain differs from a fresh search's drain")
+	}
 }
 
 func TestPlanCacheDescendingTargetsMatchFreshSearch(t *testing.T) {

@@ -26,6 +26,18 @@
 //     keeps a minDropped watermark, and a resume whose refilled K-th
 //     cost reaches the watermark falls back to a cold search instead of
 //     returning a possibly incomplete top-K.
+//   - The search lists are K-dominance pruned, exactly. Search drops from
+//     each stage's admitted list every configuration that at least K
+//     others in the list beat (no slower, and earlier in (JobCost, Time,
+//     Config) order, pathLess's single-stage order): swapping one in for
+//     it keeps any path feasible and makes it strictly pathLess-smaller,
+//     so a path through a pruned configuration has K better ones and is
+//     never in the top-K. The prune ignores GSLO, so retained searches
+//     resume over the same lists. The drain fallback picks by per-job
+//     time, not cost, so it reads the unpruned admitted lists — in
+//     Search and in Resume, whose retained state carries them.
+//     SearchLevelwise and BruteForceSearch stay unpruned as independent
+//     references, and the randomized oracle tests compare whole paths.
 //   - The over-constrained fallback is shared and panic-free: when no
 //     configuration passes the admissibility filter under the batch
 //     bound, Search, SearchLevelwise and BruteForceSearch all degrade

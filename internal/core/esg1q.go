@@ -100,8 +100,15 @@ const (
 // is not safe for concurrent use; the package-level Search draws Searchers
 // from a pool.
 type Searcher struct {
+	// lists are the per-stage search lists: the admitted lists with every
+	// K-dominated configuration pruned (see pruneDominated), copied into
+	// pruneBuf. admitted are the unpruned lists — only the drain fallback
+	// reads them.
 	lists        [][]profile.Estimate
-	inBuf        []bool // lists[j] views the reusable estBuf scratch
+	pruneBuf     []profile.Estimate
+	topBuf       []int32
+	admitted     [][]profile.Estimate
+	inBuf        []bool // admitted[j] views the reusable estBuf scratch
 	estBuf       []profile.Estimate
 	minTimeAfter []time.Duration
 	minCostAfter []units.Money
@@ -184,8 +191,8 @@ func (s *Searcher) search(in SearchInput, recycle *RetainedSearch, retain bool) 
 
 	// Per-stage config lists sorted ascending by latency (Algorithm 1's
 	// ConfigLists), with the queue-length bound on the first stage and the
-	// ablation filter applied.
-	s.prepareLists(in, m)
+	// ablation filter applied, then K-dominance pruned.
+	s.prepareLists(in, m, k)
 	s.prepareBounds(in.Hop, m)
 	s.prepareHot(m)
 
@@ -204,7 +211,7 @@ func (s *Searcher) search(in SearchInput, recycle *RetainedSearch, retain bool) 
 	res.Paths = s.best.take()
 	res.Feasible = len(res.Paths) > 0
 	if !res.Feasible {
-		res.Paths = drainPaths(s.lists, in.Hop)
+		res.Paths = drainPaths(s.admitted, in.Hop)
 	}
 	if rec == nil || !rec.ok || truncated {
 		return res, nil
@@ -352,11 +359,13 @@ func (s *Searcher) runLoop(gslo, hop time.Duration, maxExp int, res *SearchResul
 	return false
 }
 
-// prepareLists fills s.lists with the per-stage configuration lists. Stages
-// without a batch bound or filter reference the table's ByLatency slice
-// directly; filtered stages are copied into the reusable estBuf, which is
-// pre-grown so that per-stage views never move under later appends.
-func (s *Searcher) prepareLists(in SearchInput, m int) {
+// prepareLists fills s.admitted with the per-stage admitted configuration
+// lists and s.lists with their K-dominance-pruned search lists. Admitted
+// lists of stages without a batch bound or filter reference the table's
+// ByLatency slice directly; filtered stages are copied into the reusable
+// estBuf and pruned lists into pruneBuf, both pre-grown so that per-stage
+// views never move under later appends.
+func (s *Searcher) prepareLists(in SearchInput, m, k int) {
 	total := 0
 	for j := 0; j < m; j++ {
 		total += len(in.Tables[j].ByLatency)
@@ -364,7 +373,13 @@ func (s *Searcher) prepareLists(in SearchInput, m int) {
 	if cap(s.estBuf) < total {
 		s.estBuf = make([]profile.Estimate, 0, total)
 	}
+	if cap(s.pruneBuf) < total {
+		s.pruneBuf = make([]profile.Estimate, 0, total)
+	}
 	buf := s.estBuf[:0]
+	pbuf := s.pruneBuf[:0]
+	top := s.topBuf
+	admitted := s.admitted[:0]
 	lists := s.lists[:0]
 	inBuf := s.inBuf[:0]
 	for j := 0; j < m; j++ {
@@ -373,33 +388,97 @@ func (s *Searcher) prepareLists(in SearchInput, m int) {
 			maxBatch = in.MaxFirstBatch
 		}
 		src := in.Tables[j].ByLatency
-		if maxBatch <= 0 && in.Filter == nil {
-			lists = append(lists, src)
-			inBuf = append(inBuf, false)
-			continue
-		}
-		start := len(buf)
-		for i := range src {
-			e := &src[i]
-			if maxBatch > 0 && e.Config.Batch > maxBatch {
-				continue
+		list, owned := src, false
+		if maxBatch > 0 || in.Filter != nil {
+			start := len(buf)
+			for i := range src {
+				e := &src[i]
+				if maxBatch > 0 && e.Config.Batch > maxBatch {
+					continue
+				}
+				if in.Filter != nil && !in.Filter(e.Config) {
+					continue
+				}
+				buf = append(buf, *e)
 			}
-			if in.Filter != nil && !in.Filter(e.Config) {
-				continue
+			if len(buf) == start {
+				list = overConstrainedFallback(src, maxBatch, in.Filter)
+			} else {
+				list, owned = buf[start:len(buf):len(buf)], true
 			}
-			buf = append(buf, *e)
 		}
-		if len(buf) == start {
-			lists = append(lists, overConstrainedFallback(src, maxBatch, in.Filter))
-			inBuf = append(inBuf, false)
-			continue
-		}
-		lists = append(lists, buf[start:len(buf):len(buf)])
-		inBuf = append(inBuf, true)
+		admitted = append(admitted, list)
+		inBuf = append(inBuf, owned)
+		start := len(pbuf)
+		pbuf, top = pruneDominated(pbuf, list, k, top)
+		lists = append(lists, pbuf[start:len(pbuf):len(pbuf)])
 	}
-	s.estBuf = buf
-	s.lists = lists
-	s.inBuf = inBuf
+	s.estBuf, s.pruneBuf, s.topBuf = buf, pbuf, top
+	s.admitted, s.lists, s.inBuf = admitted, lists, inBuf
+}
+
+// pruneDominated appends to dst every configuration of the latency-ascending
+// list src that fewer than k others in src beat, in src order. d beats c
+// when d.Time <= c.Time and d precedes c in (JobCost, Time, Config) order —
+// pathLess's tie order restricted to one stage. The prune is exact: swapping
+// c for any beater keeps a path feasible (no slower) and makes it strictly
+// pathLess-smaller (Money and Duration sums are exact integers), so a path
+// through c has at least k better feasible paths and is never in the top-k.
+// It depends on neither GSLO nor the hop, so retained searches resume over
+// the same lists. One O(len(src)·k) walk over equal-time groups: c's beaters
+// are the configs before it in (JobCost, Time, Config) order among its own
+// and all faster groups, so c survives iff it is among the k smallest
+// there. top is scratch for the indexes of those k smallest, returned for
+// reuse.
+func pruneDominated(dst, src []profile.Estimate, k int, top []int32) ([]profile.Estimate, []int32) {
+	top = top[:0]
+	for lo := 0; lo < len(src); {
+		hi := lo + 1
+		for hi < len(src) && src[hi].Time == src[lo].Time {
+			hi++
+		}
+		for i := lo; i < hi; i++ {
+			// Insert i into the ascending k-smallest index list.
+			e := &src[i]
+			if len(top) == k && !estLess(e, &src[top[k-1]]) {
+				continue
+			}
+			if len(top) < k {
+				top = append(top, 0)
+			}
+			p := len(top) - 1
+			for ; p > 0 && estLess(e, &src[top[p-1]]); p-- {
+				top[p] = top[p-1]
+			}
+			top[p] = int32(i)
+		}
+		for i := lo; i < hi; i++ {
+			if len(top) < k || !estLess(&src[top[k-1]], &src[i]) {
+				dst = append(dst, src[i])
+			}
+		}
+		lo = hi
+	}
+	return dst, top
+}
+
+// estLess orders estimates by (JobCost, Time, Config): pathLess's order for
+// a single stage.
+func estLess(a, b *profile.Estimate) bool {
+	if a.JobCost != b.JobCost {
+		return a.JobCost < b.JobCost
+	}
+	if a.Time != b.Time {
+		return a.Time < b.Time
+	}
+	ca, cb := a.Config, b.Config
+	if ca.Batch != cb.Batch {
+		return ca.Batch < cb.Batch
+	}
+	if ca.CPU != cb.CPU {
+		return ca.CPU < cb.CPU
+	}
+	return ca.GPU < cb.GPU
 }
 
 // prepareHot rebuilds the vectorized per-stage views of s.lists for
@@ -875,11 +954,11 @@ func (r *retention) complete(p Path) {
 // RetainedSearch is the frozen end state of one ESG_1Q search: the node
 // arena, the remaining frontier, the children the cost blade suspended, the
 // generated completions, and owned copies of the per-stage configuration
-// lists. A later search over the same inputs with an equal or tighter GSLO
-// can Resume from here instead of re-expanding from the virtual root: the
-// time blade only ever cuts more as GSLO tightens (whatever it cut stays
-// cut), so the retained frontier plus the recorded completions cover every
-// path a fresh, tighter search could reach.
+// lists, pruned and admitted. A later search over the same inputs with an
+// equal or tighter GSLO can Resume from here instead of re-expanding from
+// the virtual root: the time blade only ever cuts more as GSLO tightens
+// (whatever it cut stays cut), so the retained frontier plus the recorded
+// completions cover every path a fresh, tighter search could reach.
 type RetainedSearch struct {
 	gslo time.Duration // target the retained result was computed at
 	tmax time.Duration // slowest kept path (feasible results only)
@@ -889,7 +968,10 @@ type RetainedSearch struct {
 	hop    time.Duration
 	maxExp int
 
+	// lists are the pruned search lists the arena indexes; admitted are the
+	// unpruned lists a resume that turns infeasible drains from.
 	lists        [][]profile.Estimate
+	admitted     [][]profile.Estimate
 	estBuf       []profile.Estimate
 	minTimeAfter []time.Duration
 	minCostAfter []units.Money
@@ -919,11 +1001,12 @@ func (st *RetainedSearch) GSLO() time.Duration { return st.gslo }
 
 // extractRetained captures the just-finished search into a RetainedSearch.
 // The arena moves out of the scratch; the frontier, suspensions and
-// completions are copied; filtered configuration lists are copied out of
-// estBuf, which the next search overwrites. recycle, when non-nil, is a
-// retired state whose buffers (including its arena, which the scratch
-// takes in exchange) are reused — nothing a recycled state owns is ever
-// referenced by cached results, so the reuse cannot corrupt a served plan.
+// completions are copied; the pruned lists and the filtered admitted lists
+// are copied out of the scratch buffers, which the next search overwrites.
+// recycle, when non-nil, is a retired state whose buffers (including its
+// arena, which the scratch takes in exchange) are reused — nothing a
+// recycled state owns is ever referenced by cached results, so the reuse
+// cannot corrupt a served plan.
 func (s *Searcher) extractRetained(gslo time.Duration, k int, hop time.Duration, maxExp int, res SearchResult, recycle *RetainedSearch) *RetainedSearch {
 	m := len(s.lists)
 	st := recycle
@@ -933,27 +1016,33 @@ func (s *Searcher) extractRetained(gslo time.Duration, k int, hop time.Duration,
 	st.k, st.hop, st.maxExp, st.dead = k, hop, maxExp, false
 	if cap(st.lists) < m {
 		st.lists = make([][]profile.Estimate, 0, m)
+		st.admitted = make([][]profile.Estimate, 0, m)
 	}
-	st.lists = st.lists[:0]
 	need := 0
 	for j := range s.lists {
+		need += len(s.lists[j])
 		if s.inBuf[j] {
-			need += len(s.lists[j])
+			need += len(s.admitted[j])
 		}
 	}
 	if cap(st.estBuf) < need {
 		st.estBuf = make([]profile.Estimate, 0, need)
 	}
-	st.estBuf = st.estBuf[:0]
-	for j, l := range s.lists {
+	buf := st.estBuf[:0]
+	lists, admitted := st.lists[:0], st.admitted[:0]
+	for j := range s.lists {
+		start := len(buf)
+		buf = append(buf, s.lists[j]...)
+		lists = append(lists, buf[start:len(buf):len(buf)])
 		if !s.inBuf[j] {
-			st.lists = append(st.lists, l) // stable table storage, shared read-only
+			admitted = append(admitted, s.admitted[j]) // stable table storage, shared read-only
 			continue
 		}
-		start := len(st.estBuf)
-		st.estBuf = append(st.estBuf, l...)
-		st.lists = append(st.lists, st.estBuf[start:len(st.estBuf):len(st.estBuf)])
+		start = len(buf)
+		buf = append(buf, s.admitted[j]...)
+		admitted = append(admitted, buf[start:len(buf):len(buf)])
 	}
+	st.estBuf, st.lists, st.admitted = buf, lists, admitted
 	st.minTimeAfter = append(st.minTimeAfter[:0], s.minTimeAfter[:m+1]...)
 	st.minCostAfter = append(st.minCostAfter[:0], s.minCostAfter[:m+1]...)
 	retired := st.arena
@@ -1117,7 +1206,7 @@ func (s *Searcher) Resume(st *RetainedSearch, gslo time.Duration) (res SearchRes
 	res.Paths = s.best.take()
 	res.Feasible = len(res.Paths) > 0
 	if !res.Feasible {
-		res.Paths = drainPaths(s.lists, st.hop)
+		res.Paths = drainPaths(st.admitted, st.hop)
 	}
 	// Completeness: with suspensions dropped past the watermark, the
 	// refill is only proven exhaustive while the K-th kept cost stays

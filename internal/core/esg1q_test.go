@@ -92,28 +92,43 @@ func TestSearchMatchesBruteForceTopCost(t *testing.T) {
 }
 
 func TestSearchMatchesBruteForceProperty(t *testing.T) {
+	// Byte-exact oracle equivalence: the dominance-pruned A* search must
+	// return exactly the exhaustive enumeration's paths — configurations,
+	// times and costs — over two- and three-stage groups, batch bounds,
+	// ablation filters, hops and targets down to infeasible ones, where
+	// both must agree on the drain fallback over the unpruned lists.
 	o := smallOracle()
 	names := []string{profile.SuperResolution, profile.Segmentation, profile.Deblur,
 		profile.Classification, profile.BackgroundRemoval, profile.DepthRecognition}
-	f := func(f1, f2, gsloMS uint16, kRaw, maxBatchRaw uint8) bool {
-		tables := tablesFor(o, names[int(f1)%len(names)], names[int(f2)%len(names)])
-		gslo := time.Duration(200+int(gsloMS)%2000) * time.Millisecond
-		k := 1 + int(kRaw)%6
-		maxBatch := int(maxBatchRaw) % 5 // 0 = unbounded
-		in := SearchInput{Tables: tables, GSLO: gslo, K: k, MaxFirstBatch: maxBatch}
+	filters := []func(profile.Config) bool{
+		nil,
+		func(c profile.Config) bool { return c.Batch == 1 }, // no batching
+		func(c profile.Config) bool { return c.GPU == 4 },   // no GPU sharing: SmallSpace's whole GPU
+	}
+	f := func(f1, f2, f3, gsloMS uint16, kRaw, maxBatchRaw, filterRaw, hopRaw uint8) bool {
+		fns := []string{names[int(f1)%len(names)], names[int(f2)%len(names)]}
+		if f3%2 == 1 {
+			fns = append(fns, names[int(f3/2)%len(names)])
+		}
+		in := SearchInput{
+			Tables:        tablesFor(o, fns...),
+			GSLO:          time.Duration(int(gsloMS)%2400) * time.Millisecond,
+			K:             1 + int(kRaw)%6,
+			MaxFirstBatch: int(maxBatchRaw) % 5, // 0 = unbounded
+			Filter:        filters[int(filterRaw)%len(filters)],
+			Hop:           time.Duration(hopRaw%4) * time.Millisecond,
+		}
 		got := Search(in)
 		want := BruteForceSearch(in)
-		if got.Feasible != want.Feasible || len(got.Paths) != len(want.Paths) {
+		if got.Feasible != want.Feasible || !reflect.DeepEqual(got.Paths, want.Paths) {
+			t.Logf("fns=%v gslo=%v k=%d maxBatch=%d filter=%d hop=%v: feasible %v vs oracle %v",
+				fns, in.GSLO, in.K, in.MaxFirstBatch, int(filterRaw)%len(filters), in.Hop,
+				got.Feasible, want.Feasible)
 			return false
-		}
-		for i := range got.Paths {
-			if got.Paths[i].Cost != want.Paths[i].Cost {
-				return false
-			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
 		t.Error(err)
 	}
 }
@@ -128,10 +143,27 @@ func TestSearchPrunesVersusBruteForce(t *testing.T) {
 	if !got.Feasible {
 		t.Fatalf("expected feasible search")
 	}
-	// Brute force enumerates 256³ ≈ 16.7M paths; the pruned search should
-	// stay under a few hundred thousand expansions.
-	if got.Expanded > 500_000 {
+	// Brute force enumerates 256³ ≈ 16.7M paths; the blades plus the
+	// K-dominance prune of the config lists keep this search to 444
+	// expansions.
+	if got.Expanded > 500 {
 		t.Errorf("search expanded %d nodes; pruning ineffective", got.Expanded)
+	}
+
+	// The deterministic work counts of §5.3's two inputs (sec53's "ESG
+	// expansions" column): a change here is a change to the search itself.
+	reg := profile.Table3Registry()
+	seq := []string{profile.Deblur, profile.SuperResolution, profile.BackgroundRemoval,
+		profile.Segmentation}
+	for g, want := range map[int]int{3: 2455, 4: 6712} {
+		var gslo time.Duration
+		for _, fn := range seq[:g] {
+			gslo += reg.MustLookup(fn).BaseExec
+		}
+		res := Search(SearchInput{Tables: tablesFor(o, seq[:g]...), GSLO: gslo, K: DefaultK})
+		if res.Expanded != want {
+			t.Errorf("group %d: expanded %d nodes, want %d", g, res.Expanded, want)
+		}
 	}
 }
 

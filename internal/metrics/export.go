@@ -27,6 +27,9 @@ type Export struct {
 	WarmStarts   int     `json:"warm_starts"`
 	ConfigMisses int     `json:"config_misses"`
 	MissRate     float64 `json:"miss_rate"`
+	// Truncated is present only on a run cut off at its drain deadline,
+	// so drained exports are byte-identical to pre-flag ones.
+	Truncated bool `json:"truncated,omitempty"`
 
 	PlanCacheHits          uint64 `json:"plan_cache_hits,omitempty"`
 	PlanCacheIntervalHits  uint64 `json:"plan_cache_interval_hits,omitempty"`
@@ -117,6 +120,7 @@ func (r *Result) ToExport(includeSeries bool) Export {
 		WarmStarts:   r.WarmStarts,
 		ConfigMisses: r.ConfigMisses,
 		MissRate:     r.MissRate(),
+		Truncated:    r.Truncated,
 
 		PlanCacheHits:          r.PlanCacheHits,
 		PlanCacheIntervalHits:  r.PlanCacheIntervalHits,

@@ -75,6 +75,9 @@ type Result struct {
 	TotalCost  units.Money
 	MeanCost   units.Money
 	Unfinished int
+	// Truncated reports that the run hit its drain deadline with work
+	// left: its unfinished instances were cut off, not drained.
+	Truncated bool
 
 	// Scheduling diagnostics. Overheads is nil under the streaming sketch
 	// recorder, which summarizes into OverheadSummary instead.
@@ -226,6 +229,11 @@ func (r *Result) Summary() string {
 	s := fmt.Sprintf("%s/%s/%s: hit=%.1f%% cost=%s n=%d unfinished=%d cold=%d warm=%d",
 		r.Scheduler, r.Workload, r.SLOLevel, 100*r.HitRate, r.TotalCost, r.Instances,
 		r.Unfinished, r.ColdStarts, r.WarmStarts)
+	// Only a cut-off run says so, keeping drained summaries byte-identical
+	// to runs before the flag existed.
+	if r.Truncated {
+		s += " truncated"
+	}
 	saved := r.PlanCacheHits + r.PlanCacheIntervalHits + r.PlanCacheResumes
 	if lookups := saved + r.PlanCacheMisses; lookups > 0 {
 		s += fmt.Sprintf(" plancache=%d/%d (exact %d, interval %d, resume %d, cold %d)",
