@@ -10,6 +10,8 @@ package aquatope
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -191,10 +193,19 @@ func (s *Scheduler) train(env *sched.Env, appIndex int) []profile.Config {
 	target := app.BaselineLatency(env.Registry)
 	sloMS := float64(target) / float64(time.Millisecond)
 
-	// Bootstrap: random joint configurations.
+	// samples holds every observation; byCost lists their indices in
+	// (cost, index) order.
 	var samples []sample
+	var byCost []int
+	record := func(sm sample) {
+		at := sort.Search(len(byCost), func(k int) bool { return samples[byCost[k]].cost > sm.cost })
+		byCost = slices.Insert(byCost, at, len(samples))
+		samples = append(samples, sm)
+	}
+
+	// Bootstrap: random joint configurations.
 	for i := 0; i < s.Bootstrap; i++ {
-		samples = append(samples, s.observe(env, appIndex, s.randomConfigs(env, app.Len(), src), src))
+		record(s.observe(env, appIndex, s.randomConfigs(env, app.Len(), src), src))
 	}
 
 	// Fit priors from the bootstrap set, then run acquisition rounds with
@@ -213,69 +224,70 @@ func (s *Scheduler) train(env *sched.Env, appIndex int) []profile.Config {
 	minCost := s.minPathCost(env, appIndex)
 	penaltyPerMS := 20 * float64(minCost) / math.Max(sloMS, 1)
 
-	// incumbent tracks the cheapest sample the GP currently believes
-	// feasible; acquisition candidates mix global random draws with local
-	// mutations of it (standard acquisition maximization practice).
+	// incumbent is the cheapest sample the GP currently believes feasible,
+	// the lowest-indexed among equal costs; acquisition candidates mix
+	// global random draws with local mutations of it (standard acquisition
+	// maximization practice).
 	incumbent := func() []profile.Config {
-		var best *sample
-		for i := range samples {
-			sm := &samples[i]
-			mu, _ := gp.Predict(sm.feats)
-			if mu > sloMS {
+		for _, i := range byCost {
+			if gp.Mean(samples[i].feats) > sloMS {
 				continue
 			}
-			if best == nil || sm.cost < best.cost {
-				best = sm
-			}
+			return samples[i].cfgs
 		}
-		if best == nil {
-			return nil
-		}
-		return best.cfgs
+		return nil
 	}
 
+	// The pool's candidates are all drawn before any is predicted;
+	// prediction consumes no randomness, so the draws are unchanged.
+	pool := make([]sample, defaultCandidatePool)
+	feats := make([][]float64, defaultCandidatePool)
+	mus := make([]float64, defaultCandidatePool)
+	sigmas := make([]float64, defaultCandidatePool)
 	for round := 0; round < s.Rounds; round++ {
 		base := incumbent()
-		picked := 0
-		for picked < s.PerRound {
-			best, bestScore := -1, math.Inf(1)
-			pool := make([]sample, 0, defaultCandidatePool)
-			for i := 0; i < defaultCandidatePool; i++ {
+		for pick := 0; pick < s.PerRound; pick++ {
+			for i := range pool {
 				var cand []profile.Config
 				if base != nil && i%2 == 1 {
 					cand = s.mutateConfigs(env, base, src)
 				} else {
 					cand = s.randomConfigs(env, app.Len(), src)
 				}
-				sm := s.describe(env, appIndex, cand)
-				pool = append(pool, sm)
-				mu, sigma := gp.Predict(sm.feats)
+				pool[i] = s.describe(env, appIndex, cand)
+				feats[i] = pool[i].feats
+			}
+			gp.PredictBatch(feats, mus, sigmas)
+			best, bestScore := -1, math.Inf(1)
+			for i, sm := range pool {
 				score := float64(sm.cost) +
-					penaltyPerMS*bo.ExpectedViolation(mu, sigma, sloMS) -
-					0.3*penaltyPerMS*sigma
+					penaltyPerMS*bo.ExpectedViolation(mus[i], sigmas[i], sloMS) -
+					0.3*penaltyPerMS*sigmas[i]
 				if score < bestScore {
 					best, bestScore = i, score
 				}
 			}
-			chosen := pool[best]
-			obs := s.observe(env, appIndex, chosen.cfgs, src)
-			samples = append(samples, obs)
-			if err := gp.Add(obs.feats, obs.latency); err == nil {
-				picked++
-			} else {
-				picked++ // degenerate duplicate: count the round's pick anyway
-			}
+			obs := s.observe(env, appIndex, pool[best].cfgs, src)
+			record(obs)
+			// A numerically degenerate duplicate is left out of the GP but
+			// still counts as the round's pick.
+			_ = gp.Add(obs.feats, obs.latency)
 		}
 	}
 
 	// Deployment selection: the cheapest observed configuration whose GP
 	// posterior says it meets the SLO with margin; fall back to the
 	// lowest-latency observation.
+	feats = make([][]float64, len(samples))
+	for i, sm := range samples {
+		feats[i] = sm.feats
+	}
+	mus, sigmas = make([]float64, len(samples)), make([]float64, len(samples))
+	gp.PredictBatch(feats, mus, sigmas)
 	var bestFeasible *sample
 	for i := range samples {
 		sm := &samples[i]
-		mu, sigma := gp.Predict(sm.feats)
-		if mu+0.5*sigma > sloMS {
+		if mus[i]+0.5*sigmas[i] > sloMS {
 			continue
 		}
 		if bestFeasible == nil || sm.cost < bestFeasible.cost {

@@ -6,6 +6,7 @@
 package baselines_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ import (
 	"github.com/esg-sched/esg/internal/workflow"
 )
 
-func env(t *testing.T, level workflow.SLOLevel) (*sched.Env, *queue.Set) {
+func env(t testing.TB, level workflow.SLOLevel) (*sched.Env, *queue.Set) {
 	t.Helper()
 	reg := profile.Table3Registry()
 	apps := workflow.EvaluationApps()
@@ -236,29 +237,66 @@ func TestAquatopeMissOnShortQueue(t *testing.T) {
 	e, qs := env(t, workflow.Moderate)
 	s := aquatope.New(7)
 	s.Bootstrap, s.Rounds, s.PerRound = 20, 5, 2
-	// Train on a full queue first to learn the preset.
-	qFull := qs.Get(2, 0)
-	fill(qFull, e.Apps[2], 2, 16, e.SLOs[2])
-	pFull := s.Plan(e, qFull, 0)
-	preset := pFull.Candidates[0].Batch
-	if preset <= 1 {
-		t.Skip("trained preset batch is 1; no miss possible for this seed")
-	}
-	// Now a queue with a single job must clamp and miss.
-	q1 := qs.Get(2, 1)
+	// A full stage-1 queue reads the stage's trained preset unclamped.
+	qFull := qs.Get(2, 1)
+	fill(qFull, e.Apps[2], 2, e.Oracle.Space.MaxBatch(), e.SLOs[2])
+	preset := s.Plan(e, qFull, 0).Candidates[0].Batch
+	// A stage-1 queue holding one job clamps the preset to it, and counts
+	// a miss exactly when the preset is larger.
+	short := queue.NewSet(e.Apps).Get(2, 1)
 	inst := queue.NewInstance(99, 2, e.Apps[2], 0, e.SLOs[2])
 	inst.CompleteStage(0, 0, time.Millisecond)
-	q1.Push(&queue.Job{Instance: inst, Stage: 1, EnqueuedAt: time.Millisecond})
-	p1 := s.Plan(e, q1, time.Millisecond)
-	if p1.Candidates[0].Batch != 1 {
-		t.Errorf("clamped batch = %d", p1.Candidates[0].Batch)
+	short.Push(&queue.Job{Instance: inst, Stage: 1, EnqueuedAt: time.Millisecond})
+	p := s.Plan(e, short, time.Millisecond)
+	if p.Candidates[0].Batch != 1 {
+		t.Errorf("clamped batch = %d, want 1", p.Candidates[0].Batch)
 	}
-	if preset := pFull.Candidates[0].Batch; preset > 1 && !p1.ConfigMiss {
-		// Stage 1's own preset may legitimately be batch 1; only require a
-		// miss when it exceeds the queue.
-		if full := s.Plan(e, qFull, 0); full.Candidates[0].Batch > 1 {
-			_ = full
+	if p.ConfigMiss != (preset > 1) {
+		t.Errorf("ConfigMiss = %v with trained batch %d for a 1-job queue", p.ConfigMiss, preset)
+	}
+}
+
+// TestAquatopeTrainedConfigsGolden pins the configurations the paper's
+// training shape (100/50/5) deploys for the four evaluation apps at seed
+// 42, so a change to the GP or the training loop cannot drift them
+// unnoticed. Training ignores the SLO level.
+func TestAquatopeTrainedConfigsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains four apps at the paper's shape")
+	}
+	want := [][]string{
+		{"(b=3,c=6,g=1)", "(b=1,c=4,g=1)", "(b=2,c=7,g=1)"},
+		{"(b=4,c=5,g=2)", "(b=4,c=8,g=4)", "(b=1,c=4,g=1)"},
+		{"(b=4,c=3,g=2)", "(b=4,c=5,g=2)", "(b=1,c=3,g=1)"},
+		{"(b=4,c=8,g=4)", "(b=4,c=3,g=1)", "(b=4,c=8,g=4)", "(b=6,c=7,g=7)", "(b=6,c=7,g=4)"},
+	}
+	e, qs := env(t, workflow.Moderate)
+	s := aquatope.New(42)
+	if len(e.Apps) != len(want) {
+		t.Fatalf("%d evaluation apps, want %d", len(e.Apps), len(want))
+	}
+	for a, app := range e.Apps {
+		got := make([]string, app.Len())
+		for st := range got {
+			q := qs.Get(a, st)
+			fill(q, app, a, e.Oracle.Space.MaxBatch(), e.SLOs[a])
+			got[st] = s.Plan(e, q, 0).Candidates[0].String()
 		}
+		if !slices.Equal(got, want[a]) {
+			t.Errorf("app %d trained to %v, want %v", a, got, want[a])
+		}
+	}
+}
+
+// BenchmarkAquatopeTrain is the offline BO training of one evaluation app
+// at the paper's shape.
+func BenchmarkAquatopeTrain(b *testing.B) {
+	e, qs := env(b, workflow.Moderate)
+	q := qs.Get(0, 0)
+	fill(q, e.Apps[0], 0, 1, e.SLOs[0])
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		aquatope.New(42).Plan(e, q, 0)
 	}
 }
 

@@ -75,14 +75,13 @@ func TestIncrementalMatchesBatchGP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := NewIncrementalGP(0.5, batch.SignalVar, batch.NoiseVar, 0)
 	// Match the batch GP's centering.
 	var mean float64
 	for _, y := range ys {
 		mean += y
 	}
 	mean /= float64(len(ys))
-	inc = NewIncrementalGP(0.5, batch.SignalVar, batch.NoiseVar, mean)
+	inc := NewIncrementalGP(0.5, batch.SignalVar, batch.NoiseVar, mean)
 	for i := range xs {
 		if err := inc.Add(xs[i], ys[i]); err != nil {
 			t.Fatalf("add %d: %v", i, err)
@@ -134,15 +133,210 @@ func TestExpectedViolation(t *testing.T) {
 	}
 }
 
-func TestExpectedImprovement(t *testing.T) {
-	if got := ExpectedImprovement(2, 0, 5); got != 3 {
-		t.Errorf("deterministic EI = %v", got)
+// frozenGP is IncrementalGP's Add and Predict as they were before Mean and
+// PredictBatch existed: fresh slices per call and one scalar forward solve
+// per right-hand side. It is the reference the fast paths must match bit
+// for bit, so it stays as written.
+type frozenGP struct {
+	lengthScale, signalVar, noiseVar, meanY float64
+
+	x     [][]float64
+	y     []float64
+	l     [][]float64
+	alpha []float64
+}
+
+func frozenDot(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		s += a[i] * b[i]
 	}
-	if got := ExpectedImprovement(6, 0, 5); got != 0 {
-		t.Errorf("worse deterministic EI = %v", got)
+	return s
+}
+
+func (g *frozenGP) kernel(a, b []float64) float64 {
+	var d2 float64
+	for i := range a {
+		d := a[i] - b[i]
+		d2 += d * d
 	}
-	// EI grows with uncertainty at fixed mean.
-	if ExpectedImprovement(5, 2, 5) <= ExpectedImprovement(5, 1, 5) {
-		t.Errorf("EI not monotone in σ")
+	return g.signalVar * math.Exp(-d2/(2*g.lengthScale*g.lengthScale))
+}
+
+func (g *frozenGP) add(x []float64, y float64) bool {
+	n := len(g.x)
+	k := make([]float64, n)
+	for i := 0; i < n; i++ {
+		k[i] = g.kernel(x, g.x[i])
+	}
+	v := make([]float64, n)
+	for i := 0; i < n; i++ {
+		sum := k[i]
+		for j := 0; j < i; j++ {
+			sum -= g.l[i][j] * v[j]
+		}
+		v[i] = sum / g.l[i][i]
+	}
+	diag := g.kernel(x, x) + g.noiseVar - frozenDot(v, v)
+	if diag <= 0 {
+		return false
+	}
+	row := make([]float64, n+1)
+	copy(row, v)
+	row[n] = math.Sqrt(diag)
+	g.l = append(g.l, row)
+	g.x = append(g.x, x)
+	g.y = append(g.y, y)
+	g.alpha = nil
+	return true
+}
+
+func (g *frozenGP) predict(p []float64) (mu, sigma float64) {
+	n := len(g.x)
+	if n == 0 {
+		return g.meanY, math.Sqrt(g.signalVar)
+	}
+	if g.alpha == nil {
+		z := make([]float64, n)
+		for i := 0; i < n; i++ {
+			sum := g.y[i] - g.meanY
+			for j := 0; j < i; j++ {
+				sum -= g.l[i][j] * z[j]
+			}
+			z[i] = sum / g.l[i][i]
+		}
+		g.alpha = make([]float64, n)
+		for i := n - 1; i >= 0; i-- {
+			sum := z[i]
+			for k := i + 1; k < n; k++ {
+				sum -= g.l[k][i] * g.alpha[k]
+			}
+			g.alpha[i] = sum / g.l[i][i]
+		}
+	}
+	ks := make([]float64, n)
+	for i := 0; i < n; i++ {
+		ks[i] = g.kernel(p, g.x[i])
+	}
+	mu = g.meanY + frozenDot(ks, g.alpha)
+	v := make([]float64, n)
+	for i := 0; i < n; i++ {
+		sum := ks[i]
+		for j := 0; j < i; j++ {
+			sum -= g.l[i][j] * v[j]
+		}
+		v[i] = sum / g.l[i][i]
+	}
+	variance := g.signalVar + g.noiseVar - frozenDot(v, v)
+	if variance < 0 {
+		variance = 0
+	}
+	return mu, math.Sqrt(variance)
+}
+
+func randPoint(src *rng.Source, dims int) []float64 {
+	p := make([]float64, dims)
+	for i := range p {
+		p[i] = src.Float64()
+	}
+	return p
+}
+
+// TestIncrementalFastPathsMatchFrozenPredict checks Mean, Predict and
+// PredictBatch against frozenGP by float64 bits, on random GPs of 0–120
+// points in 1–15 dimensions. Each GP is predicted empty and then after
+// each of two growth steps, so the cached weights and scratch buffers are
+// reused after growth, and batch sizes run 0–70, so the 4-wide solve
+// meets every remainder.
+func TestIncrementalFastPathsMatchFrozenPredict(t *testing.T) {
+	src := rng.New(13)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for batch := 0; batch <= 70; batch++ {
+		dims := 1 + src.IntN(15)
+		signal, noise, mean := 0.5+20*src.Float64(), 1e-6+0.05*src.Float64(), 100*src.Float64()
+		g := NewIncrementalGP(0.5, signal, noise, mean)
+		ref := &frozenGP{lengthScale: 0.5, signalVar: signal, noiseVar: noise, meanY: mean}
+		n := src.IntN(121)
+		for phase, adds := range []int{0, n / 2, n - n/2} {
+			for i := 0; i < adds; i++ {
+				x := randPoint(src, dims)
+				if len(ref.x) > 0 && src.IntN(8) == 0 {
+					x = ref.x[src.IntN(len(ref.x))] // a duplicate input
+				}
+				y := mean + signal*src.Normal()
+				if errInc, okRef := g.Add(x, y), ref.add(x, y); (errInc == nil) != okRef {
+					t.Fatalf("batch %d: Add accepted=%v, frozen accepted=%v", batch, errInc == nil, okRef)
+				}
+			}
+			ps := make([][]float64, batch)
+			for i := range ps {
+				ps[i] = randPoint(src, dims)
+			}
+			mu, sigma := make([]float64, batch), make([]float64, batch)
+			g.PredictBatch(ps, mu, sigma)
+			for i, p := range ps {
+				wantMu, wantSigma := ref.predict(p)
+				if !same(mu[i], wantMu) || !same(sigma[i], wantSigma) {
+					t.Fatalf("batch %d phase %d n=%d point %d: PredictBatch (%v, %v), frozen (%v, %v)",
+						batch, phase, g.Len(), i, mu[i], sigma[i], wantMu, wantSigma)
+				}
+				if gotMu, gotSigma := g.Predict(p); !same(gotMu, wantMu) || !same(gotSigma, wantSigma) {
+					t.Fatalf("batch %d phase %d n=%d point %d: Predict (%v, %v), frozen (%v, %v)",
+						batch, phase, g.Len(), i, gotMu, gotSigma, wantMu, wantSigma)
+				}
+				if m := g.Mean(p); !same(m, wantMu) {
+					t.Fatalf("batch %d phase %d n=%d point %d: Mean %v, frozen %v",
+						batch, phase, g.Len(), i, m, wantMu)
+				}
+			}
+		}
+	}
+}
+
+var sinkFloat float64
+
+// TestIncrementalPredictAllocs pins the warm prediction paths at zero
+// allocations: they reuse the GP's scratch buffers.
+func TestIncrementalPredictAllocs(t *testing.T) {
+	src := rng.New(3)
+	g := NewIncrementalGP(0.5, 1, 0.01, 0)
+	for g.Len() < 50 {
+		_ = g.Add(randPoint(src, 6), src.Normal())
+	}
+	ps := make([][]float64, 9)
+	for i := range ps {
+		ps[i] = randPoint(src, 6)
+	}
+	mu, sigma := make([]float64, len(ps)), make([]float64, len(ps))
+	g.PredictBatch(ps, mu, sigma)
+	for name, f := range map[string]func(){
+		"Mean":         func() { sinkFloat = g.Mean(ps[0]) },
+		"Predict":      func() { sinkFloat, _ = g.Predict(ps[1]) },
+		"PredictBatch": func() { g.PredictBatch(ps, mu, sigma) },
+	} {
+		if allocs := testing.AllocsPerRun(50, f); allocs != 0 {
+			t.Errorf("warm %s allocates %v times per call, want 0", name, allocs)
+		}
+	}
+}
+
+// BenchmarkIncrementalGPPredictBatch predicts one Aquatope acquisition
+// pool (60 candidates) against a GP the size of a late training round.
+func BenchmarkIncrementalGPPredictBatch(b *testing.B) {
+	src := rng.New(1)
+	g := NewIncrementalGP(0.5, 1, 0.01, 0)
+	for g.Len() < 300 {
+		_ = g.Add(randPoint(src, 9), src.Normal())
+	}
+	ps := make([][]float64, 60)
+	for i := range ps {
+		ps[i] = randPoint(src, 9)
+	}
+	mu, sigma := make([]float64, len(ps)), make([]float64, len(ps))
+	g.PredictBatch(ps, mu, sigma)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.PredictBatch(ps, mu, sigma)
 	}
 }

@@ -125,16 +125,3 @@ func ExpectedViolation(mu, sigma, limit float64) float64 {
 	z := (mu - limit) / sigma
 	return sigma * (mathx.NormalPDF(z) + z*mathx.NormalCDF(z))
 }
-
-// ExpectedImprovement returns E[max(0, best − X)] for X ~ N(mu, sigma²):
-// the classic minimization EI used to rank exploration candidates.
-func ExpectedImprovement(mu, sigma, best float64) float64 {
-	if sigma <= 0 {
-		if mu < best {
-			return best - mu
-		}
-		return 0
-	}
-	z := (best - mu) / sigma
-	return sigma * (mathx.NormalPDF(z) + z*mathx.NormalCDF(z))
-}

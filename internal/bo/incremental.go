@@ -3,12 +3,16 @@ package bo
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // IncrementalGP is a Gaussian process whose kernel Cholesky factor grows by
 // rank-1 extension as observations arrive — O(n²) per added point instead
 // of O(n³) per refit. The Aquatope trainer adds five observations per BO
 // round over 50 rounds (§4.2), so incremental updates keep training cheap.
+//
+// An IncrementalGP is not safe for concurrent use: predictions refresh the
+// cached weights and reuse the GP's scratch buffers.
 type IncrementalGP struct {
 	LengthScale float64
 	SignalVar   float64
@@ -23,6 +27,11 @@ type IncrementalGP struct {
 
 	alpha      []float64
 	alphaDirty bool
+
+	// ks and kb are prediction scratch: the kernel row of one point, and
+	// of the four points a batched forward solve carries.
+	ks []float64
+	kb [4][]float64
 }
 
 // NewIncrementalGP creates an empty incremental GP with fixed
@@ -58,31 +67,63 @@ func (g *IncrementalGP) kernel(a, b []float64) float64 {
 	return g.SignalVar * math.Exp(-d2/(2*g.LengthScale*g.LengthScale))
 }
 
+// kernelRow returns the kernel of p against every observation, stored in
+// dst's backing array when it is large enough.
+func (g *IncrementalGP) kernelRow(dst, p []float64) []float64 {
+	dst = slices.Grow(dst[:0], len(g.x))[:len(g.x)]
+	for i, x := range g.x {
+		dst[i] = g.kernel(p, x)
+	}
+	return dst
+}
+
+// forward overwrites v with L⁻¹·v, by forward substitution over the
+// factor's first len(v) rows.
+func (g *IncrementalGP) forward(v []float64) {
+	for i := range v {
+		row := g.l[i]
+		prev := row[:i]
+		solved := v[:len(prev)]
+		sum := v[i]
+		for j, l := range prev {
+			sum -= l * solved[j]
+		}
+		v[i] = sum / row[i]
+	}
+}
+
+// forward4 is forward on four vectors of one length at once. Each keeps
+// its own accumulator, updated in forward's order, so the results are
+// bit-identical to four forward calls, but the four independent
+// subtraction chains overlap instead of each waiting on the last.
+func (g *IncrementalGP) forward4(v0, v1, v2, v3 []float64) {
+	for i := range v0 {
+		row := g.l[i]
+		prev := row[:i]
+		a, b, c, d := v0[:len(prev)], v1[:len(prev)], v2[:len(prev)], v3[:len(prev)]
+		s0, s1, s2, s3 := v0[i], v1[i], v2[i], v3[i]
+		for j, l := range prev {
+			s0 -= l * a[j]
+			s1 -= l * b[j]
+			s2 -= l * c[j]
+			s3 -= l * d[j]
+		}
+		diag := row[i]
+		v0[i], v1[i], v2[i], v3[i] = s0/diag, s1/diag, s2/diag, s3/diag
+	}
+}
+
 // Add appends one observation, extending the Cholesky factor by one row.
 func (g *IncrementalGP) Add(x []float64, y float64) error {
-	n := len(g.x)
-	// New kernel column against existing points.
-	k := make([]float64, n)
-	for i := 0; i < n; i++ {
-		k[i] = g.kernel(x, g.x[i])
-	}
-	// Forward solve L·v = k.
-	v := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := k[i]
-		for j := 0; j < i; j++ {
-			sum -= g.l[i][j] * v[j]
-		}
-		v[i] = sum / g.l[i][i]
-	}
-	diag := g.kernel(x, x) + g.NoiseVar - dot(v, v)
+	// The new row is L⁻¹ times the kernel column against the existing
+	// points, then the diagonal.
+	row := g.kernelRow(make([]float64, 0, len(g.x)+1), x)
+	g.forward(row)
+	diag := g.kernel(x, x) + g.NoiseVar - dot(row, row)
 	if diag <= 0 {
 		return fmt.Errorf("bo: incremental update lost positive definiteness (diag=%g)", diag)
 	}
-	row := make([]float64, n+1)
-	copy(row, v)
-	row[n] = math.Sqrt(diag)
-	g.l = append(g.l, row)
+	g.l = append(g.l, append(row, math.Sqrt(diag)))
 	g.x = append(g.x, x)
 	g.y = append(g.y, y)
 	g.alphaDirty = true
@@ -96,14 +137,11 @@ func (g *IncrementalGP) refreshAlpha() {
 	n := len(g.x)
 	// Solve L·z = (y − mean), then Lᵀ·alpha = z.
 	z := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := g.y[i] - g.meanY
-		for j := 0; j < i; j++ {
-			sum -= g.l[i][j] * z[j]
-		}
-		z[i] = sum / g.l[i][i]
+	for i, y := range g.y {
+		z[i] = y - g.meanY
 	}
-	alpha := make([]float64, n)
+	g.forward(z)
+	alpha := slices.Grow(g.alpha[:0], n)[:n]
 	for i := n - 1; i >= 0; i-- {
 		sum := z[i]
 		for k := i + 1; k < n; k++ {
@@ -115,32 +153,59 @@ func (g *IncrementalGP) refreshAlpha() {
 	g.alphaDirty = false
 }
 
-// Predict returns the posterior mean and standard deviation at p.
-func (g *IncrementalGP) Predict(p []float64) (mu, sigma float64) {
-	n := len(g.x)
-	if n == 0 {
-		return g.meanY, math.Sqrt(g.SignalVar)
+// Mean returns the posterior mean at p, exactly as Predict computes it,
+// without Predict's O(n²) variance solve.
+func (g *IncrementalGP) Mean(p []float64) float64 {
+	if len(g.x) == 0 {
+		return g.meanY
 	}
 	g.refreshAlpha()
-	ks := make([]float64, n)
-	for i := 0; i < n; i++ {
-		ks[i] = g.kernel(p, g.x[i])
+	g.ks = g.kernelRow(g.ks, p)
+	return g.meanY + dot(g.ks, g.alpha)
+}
+
+// Predict returns the posterior mean and standard deviation at p.
+func (g *IncrementalGP) Predict(p []float64) (mu, sigma float64) {
+	if len(g.x) == 0 {
+		return g.meanY, math.Sqrt(g.SignalVar)
 	}
-	mu = g.meanY + dot(ks, g.alpha)
-	// Forward solve L·v = ks for the predictive variance.
-	v := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := ks[i]
-		for j := 0; j < i; j++ {
-			sum -= g.l[i][j] * v[j]
+	mu = g.Mean(p)
+	g.forward(g.ks)
+	return mu, g.stddev(g.ks)
+}
+
+// PredictBatch stores the posterior mean and standard deviation at ps[i]
+// in mu[i] and sigma[i]; mu and sigma must be at least len(ps) long. The
+// results are bit-identical to Predict's, point by point.
+func (g *IncrementalGP) PredictBatch(ps [][]float64, mu, sigma []float64) {
+	i := 0
+	if len(g.x) > 0 {
+		g.refreshAlpha()
+		k := &g.kb
+		for ; i+len(k) <= len(ps); i += len(k) {
+			for c := range k {
+				k[c] = g.kernelRow(k[c], ps[i+c])
+				mu[i+c] = g.meanY + dot(k[c], g.alpha)
+			}
+			g.forward4(k[0], k[1], k[2], k[3])
+			for c := range k {
+				sigma[i+c] = g.stddev(k[c])
+			}
 		}
-		v[i] = sum / g.l[i][i]
 	}
+	for ; i < len(ps); i++ {
+		mu[i], sigma[i] = g.Predict(ps[i])
+	}
+}
+
+// stddev returns the predictive standard deviation at a point whose kernel
+// row ks has been solved to v = L⁻¹·ks.
+func (g *IncrementalGP) stddev(v []float64) float64 {
 	variance := g.SignalVar + g.NoiseVar - dot(v, v)
 	if variance < 0 {
 		variance = 0
 	}
-	return mu, math.Sqrt(variance)
+	return math.Sqrt(variance)
 }
 
 func dot(a, b []float64) float64 {

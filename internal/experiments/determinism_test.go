@@ -25,8 +25,9 @@ func detRunner(seed uint64, parallel int, plancache bool) *Runner {
 // renderArtifacts regenerates a cross-section of the evaluation — the ESG
 // overhead/ablation/K-sweep figures plus a mini comparison grid over the
 // non-ESG schedulers — into one string. Aquatope is exercised separately
-// (TestAquatopeDeterministicTraining): its offline BO training costs
-// seconds per cell and would dominate this test's budget.
+// (TestAquatopeDeterministicTraining): its offline BO training, about 2 s
+// for the four apps on every fresh runner, would dominate this test's
+// budget.
 func renderArtifacts(t *testing.T, r *Runner) string {
 	t.Helper()
 	var sb strings.Builder

@@ -106,8 +106,8 @@ type Runner struct {
 	// aquatopeMemo shares Aquatope's scale-independent offline BO
 	// training across the runner's cells (the trained configurations
 	// depend on the apps and profiles, never on the workload setting), so
-	// a grid pays the ~seconds-long training once per application instead
-	// of once per cell.
+	// a grid pays the training (~0.5 s per application on one core) once
+	// per application instead of once per cell.
 	aquatopeMemo *aquatope.TrainingMemo
 }
 
