@@ -98,32 +98,3 @@ func BenchmarkPlanCacheIntervalHit(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkPlanCacheResume measures the incremental re-plan: the target
-// tightened below the cached entry's slowest path, so the retained search
-// re-prunes its completions and continues from the retained frontier
-// instead of expanding from the virtual root (BenchmarkPlanCacheCold).
-func BenchmarkPlanCacheResume(b *testing.B) {
-	in := searchInput(3)
-	sig := "bench"
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c := esg.NewPlanCache(8, 5*time.Millisecond)
-		first := c.Search(in, sig)
-		if !first.Feasible {
-			b.Fatal("infeasible seed search")
-		}
-		var tmax time.Duration
-		for _, p := range first.Paths {
-			if p.Time > tmax {
-				tmax = p.Time
-			}
-		}
-		tight := in
-		tight.GSLO = c.QuantizeGSLO(tmax) - 5*time.Millisecond // below tmax: a true resume
-		b.StartTimer()
-		if res := c.Search(tight, sig); len(res.Paths) == 0 {
-			b.Fatal("no paths")
-		}
-	}
-}

@@ -112,7 +112,7 @@ type (
 	// PlanCache memoizes ESG_1Q searches (LRU over quantized targets).
 	PlanCache = core.PlanCache
 	// PlanCacheStats are a plan cache's hit/miss/eviction counters.
-	PlanCacheStats = core.CacheStats
+	PlanCacheStats = sched.PlanCacheStats
 
 	// Distribution is a dominator-based SLO distribution of an app.
 	Distribution = dominator.Distribution

@@ -101,9 +101,9 @@ func (m *Memo) Len() int {
 }
 
 // Stats returns the memo's counters in the shared plan-cache shape: Hits
-// are exact-key reuses, Misses are cold rankings. The interval/resume
-// tiers do not exist here (reuse is already invalidation-free), so those
-// counters stay zero.
+// are exact-key reuses, Misses are cold rankings. The interval tier does
+// not exist here (reuse is already invalidation-free), so IntervalHits
+// stays zero.
 func (m *Memo) Stats() sched.PlanCacheStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -32,7 +32,7 @@ func TestMemoHitColdCounters(t *testing.T) {
 	if m.Len() != 1 {
 		t.Errorf("Len = %d", m.Len())
 	}
-	if st.IntervalHits != 0 || st.Resumes != 0 || st.Evictions != 0 || st.Invalidations != 0 {
+	if st.IntervalHits != 0 || st.Evictions != 0 || st.Invalidations != 0 {
 		t.Errorf("incremental-tier counters must stay zero: %+v", st)
 	}
 }

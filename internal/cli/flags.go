@@ -81,7 +81,7 @@ func NewFlagSet(o *Options) *flag.FlagSet {
 	fs.Float64Var(&o.Scale, "scale", 1.0, "trace-size multiplier; 1.0 is the full evaluation")
 	fs.IntVar(&o.Parallel, "parallel", 1, "worker-pool size for independent scenario runs (0 = GOMAXPROCS); output is byte-identical to -parallel 1 at the same seed when -overhead is not \"measured\"")
 	fs.IntVar(&o.CellShards, "cellshards", 1, "within-cell planning shards: each controller pre-plans ready queues over this many goroutines per scheduling pass (0 = GOMAXPROCS, 1 = sequential); requires a scheduler that opts into concurrent planning (ESG, INFless, FaST-GShare — others run sequentially), output is byte-identical to -cellshards 1 at the same seed")
-	fs.BoolVar(&o.PlanCache, "plancache", false, "enable the memoized ESG_1Q plan cache (per-run LRU, default capacity 4096, 5ms GSLO buckets; exact/interval/resume reuse tiers)")
+	fs.BoolVar(&o.PlanCache, "plancache", false, "enable the memoized ESG_1Q plan cache (per-run LRU, default capacity 4096, 5ms GSLO buckets; exact/interval reuse tiers)")
 	fs.BoolVar(&o.BaselineMemo, "baselinememo", true, "keep the always-on baseline plan memo (INFless/FaST-GShare candidate rankings); -baselinememo=false re-ranks on every Plan call — the un-memoized reference for A/B equivalence and benchmarking, byte-identical output")
 	fs.StringVar(&o.Overhead, "overhead", "measured", "how scheduling overhead is charged on the simulated clock: measured (paper default, wall clock — run-dependent), none, or fixed")
 	fs.BoolVar(&o.Wall, "wall", true, "take wall-clock readings for the artifacts' host-time cells (the scale table's Wall column, sec53's ms columns); -wall=false zeroes them so two runs' full output files diff byte-identically")

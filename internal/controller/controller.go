@@ -447,15 +447,7 @@ func (c *Controller) Execute() *metrics.Result {
 		warm += inv.WarmStarts
 	}
 	if pc, ok := c.scheduler.(sched.PlanCaching); ok {
-		st := pc.PlanCacheStats()
-		c.collector.RecordCacheStats(metrics.PlanCacheCounters{
-			Hits:          st.Hits,
-			IntervalHits:  st.IntervalHits,
-			Resumes:       st.Resumes,
-			Misses:        st.Misses,
-			Evictions:     st.Evictions,
-			Invalidations: st.Invalidations,
-		})
+		c.collector.RecordCacheStats(pc.PlanCacheStats())
 	}
 	res := c.collector.Finalize(cold, warm, unfinished, utilCPU, utilGPU, c.engine.Now())
 	res.InstanceLivePeak = c.instLivePeak

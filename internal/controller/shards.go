@@ -35,8 +35,8 @@ import (
 // Work is partitioned by q.AppIndex modulo the shard count. That keeps one
 // application's queues — which share dominator distributions, cache
 // signatures and (typically) plan-cache interval keys — on a single worker
-// in canonical queue order, so a scheduler's per-group retained state
-// evolves in the same order as under the sequential controller.
+// in canonical queue order, so a scheduler's per-group memo state evolves
+// in the same order as under the sequential controller.
 type planShards struct {
 	shards int
 

@@ -33,9 +33,9 @@ type miniScaleCell struct {
 func randomMiniCell(seed uint64) miniScaleCell {
 	src := rng.New(seed * 0x9E3779B97F4A7C15)
 	c := miniScaleCell{
-		nodes:    4 + int(src.Uint64()%13),       // 4..16 invokers
-		load:     20 + float64(src.Uint64()%80),  // 20..99x compression
-		requests: 120 + int(src.Uint64()%180),    // 120..299 requests
+		nodes:    4 + int(src.Uint64()%13),      // 4..16 invokers
+		load:     20 + float64(src.Uint64()%80), // 20..99x compression
+		requests: 120 + int(src.Uint64()%180),   // 120..299 requests
 		apps:     workflow.ScaleApps(),
 	}
 	tr, err := workload.GenerateCompressed(workload.Heavy, c.load, c.requests, len(c.apps), rng.New(seed))
@@ -76,14 +76,14 @@ func (c miniScaleCell) config(shards int, plancache bool) Config {
 // stripCacheCounters zeroes the plan-cache counters, the one part of a
 // Result that is schedule-dependent under CellShards > 1: speculative
 // plans that go unconsumed still touch the scheduler's memo layers, and
-// cross-shard lock order can shift which cache tier answers a lookup.
+// the interleaving of shards can shift which cache tier answers a lookup
+// (two shards that miss one key at once both count a miss).
 // Everything observable — dispatches, latencies, costs, cold/warm starts —
 // must stay byte-identical; no artifact embeds the cache counters.
 func stripCacheCounters(r *metrics.Result) *metrics.Result {
 	cp := *r
 	cp.PlanCacheHits = 0
 	cp.PlanCacheIntervalHits = 0
-	cp.PlanCacheResumes = 0
 	cp.PlanCacheMisses = 0
 	cp.PlanCacheEvictions = 0
 	cp.PlanCacheInvalidations = 0

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/esg-sched/esg/internal/profile"
+	"github.com/esg-sched/esg/internal/sched"
 )
 
 // Plan-cache defaults. The granularity trades hit rate against plan
@@ -39,35 +40,7 @@ const (
 	// hit must not churn it), so they need their own bound; the hot stage
 	// groups of a run number in the tens, well under this.
 	maxIntervalKeys = 256
-	// maxResumeSlots bounds the retained search states (each pins an
-	// arena and frontier, see RetainedSearch). The hot stage groups of a
-	// run number in the tens.
-	maxResumeSlots = 32
 )
-
-// CacheStats are the observability counters of a PlanCache. A lookup
-// resolves as exactly one of Hits, IntervalHits, Resumes or Misses, from
-// cheapest to most expensive.
-type CacheStats struct {
-	// Hits are exact-key lookups (same stage group, same quantized queue
-	// depth and target bucket).
-	Hits uint64
-	// IntervalHits are lookups answered by a neighboring bucket's entry
-	// through its GSLO feasibility interval (see Search).
-	IntervalHits uint64
-	// Resumes are lookups answered by re-pruning and continuing a
-	// retained search instead of re-expanding from the virtual root.
-	Resumes uint64
-	// Misses are cold searches from the virtual root.
-	Misses        uint64
-	Evictions     uint64
-	Invalidations uint64
-}
-
-// Lookups returns the total number of Search calls observed.
-func (s CacheStats) Lookups() uint64 {
-	return s.Hits + s.IntervalHits + s.Resumes + s.Misses
-}
 
 // cacheKey identifies one memoized ESG_1Q search: the stage-group signature
 // (function sequence + filter identity + table epoch), the quantized queue
@@ -83,7 +56,7 @@ type cacheKey struct {
 
 // intervalKey is a cacheKey minus the target bucket: everything that must
 // match for two searches to differ only in GSLO. The feasibility-interval
-// index and the retained-search slots are keyed on it.
+// index is keyed on it.
 type intervalKey struct {
 	sig      string
 	maxBatch int
@@ -114,26 +87,30 @@ type intervalKey struct {
 // search at bucket g whose slowest kept path takes t_max answers every
 // quantized target in [t_max, g] (the K cheapest paths cannot change while
 // they all stay feasible), and an infeasible search at g answers every
-// tighter target (the drain fallback is GSLO-independent). Targets below
-// t_max resume the retained search — re-pruning the previous completions
-// and continuing from the retained frontier — rather than starting from
-// the virtual root (see Searcher.Resume). Under the controller's 2 ms
-// re-planning cadence group targets tighten monotonically as the queue
-// head ages, which is exactly the pattern these two layers absorb.
+// tighter target (the drain fallback is GSLO-independent). Under the
+// controller's 2 ms re-planning cadence group targets tighten monotonically
+// as the queue head ages, which is exactly the pattern this layer absorbs.
+// A lookup neither layer answers — including a target below t_max — runs a
+// cold search at the quantized target.
 //
 // Exact-key entries are kept in an LRU list bounded by Capacity. Interval
 // answers come from a separate per-stage-group side structure: an interval
 // hit never inserts an alias into the exact-key LRU (aliases used to churn
 // hot entries out at tight capacities), and an interval entry keeps
-// answering even after its originating exact entry is evicted. All methods
-// are safe for concurrent use.
+// answering even after its originating exact entry is evicted.
+//
+// All methods are safe for concurrent use. Cold searches run outside the
+// cache lock, so two planners that miss the same key at once both search:
+// their results are identical and only the first is inserted, but both
+// count as misses. Answers therefore never depend on the interleaving of
+// concurrent callers; the counters may.
 //
 // Read-only contract: the returned SearchResult — the Paths slice and
-// every Path.Ests in it — is shared between the cache, its retained search
-// states and every past and future caller of the same key. Callers must
-// not modify it. Both slice levels are capacity-frozen, so an append
-// always copies; writing elements in place corrupts other callers' plans.
-// CheckMutations/Integrity exist to catch exactly that in tests.
+// every Path.Ests in it — is shared between the cache and every past and
+// future caller of the same key. Callers must not modify it. Both slice
+// levels are capacity-frozen, so an append always copies; writing elements
+// in place corrupts other callers' plans. CheckMutations/Integrity exist to
+// catch exactly that in tests.
 type PlanCache struct {
 	mu          sync.Mutex
 	capacity    int
@@ -142,21 +119,8 @@ type PlanCache struct {
 	order       *list.List // front = most recently used
 	intervals   map[intervalKey]*intervalList
 	useSeq      uint64 // interval-list recency clock
-	stats       CacheStats
+	stats       sched.PlanCacheStats
 	checkMut    bool
-
-	// searchMu guards the resume-slot table (the map and the recency
-	// clock), never a search itself: each slot carries its own mutex, so
-	// concurrent planners working disjoint stage groups search in
-	// parallel while same-group searches serialize in arrival order and
-	// keep their retained state.
-	searchMu sync.Mutex
-	resumes  map[intervalKey]*resumeSlot
-	seq      uint64
-	// searchers recycles search scratch across cold searches; retained
-	// states (resumeSlot.st) own their storage independently of the
-	// searcher that produced them.
-	searchers sync.Pool
 
 	// oracleIDs names each profile-table generation ever seen by this
 	// cache, so schedulers sharing the cache across different oracles
@@ -170,11 +134,6 @@ type PlanCache struct {
 type cacheEntry struct {
 	key cacheKey
 	res SearchResult
-	// computedAt is the quantized target the result was searched at and
-	// tmax the slowest kept path of a feasible result; together they span
-	// the entry's feasibility interval.
-	computedAt time.Duration
-	tmax       time.Duration
 	// snapshot is a deep copy of res.Paths taken at insertion when
 	// CheckMutations is armed; Integrity compares against it.
 	snapshot []Path
@@ -184,7 +143,9 @@ type cacheEntry struct {
 // side structure: the frozen result plus the interval it answers. It shares
 // the frozen Paths storage with the exact entry inserted alongside it but
 // has no pointer into the LRU, so interval hits neither touch nor extend
-// the exact-key order.
+// the exact-key order. computedAt is the quantized target the result was
+// searched at and tmax the slowest kept path of a feasible result; together
+// they span the entry's feasibility interval.
 type intervalEntry struct {
 	res        SearchResult
 	computedAt time.Duration
@@ -208,15 +169,6 @@ type intervalList struct {
 	lastUse uint64
 }
 
-type resumeSlot struct {
-	// mu serializes searches of one stage group: the holder may resume,
-	// replace or retain st. Acquired with c.searchMu already released, so
-	// disjoint stage groups never serialize on each other.
-	mu      sync.Mutex
-	st      *RetainedSearch
-	lastUse uint64
-}
-
 // NewPlanCache returns a cache bounded to capacity entries with the given
 // GSLO bucket width. Non-positive arguments select the defaults.
 func NewPlanCache(capacity int, granularity time.Duration) *PlanCache {
@@ -226,17 +178,14 @@ func NewPlanCache(capacity int, granularity time.Duration) *PlanCache {
 	if granularity <= 0 {
 		granularity = DefaultCacheGranularity
 	}
-	c := &PlanCache{
+	return &PlanCache{
 		capacity:    capacity,
 		granularity: granularity,
 		entries:     make(map[cacheKey]*list.Element, capacity),
 		order:       list.New(),
 		intervals:   make(map[intervalKey]*intervalList),
-		resumes:     make(map[intervalKey]*resumeSlot),
 		oracleIDs:   make(map[*profile.Oracle]uint64),
 	}
-	c.searchers.New = func() any { return NewSearcher() }
-	return c
 }
 
 // TableID names the profile-table generation behind an oracle, unique
@@ -263,8 +212,10 @@ func (c *PlanCache) Len() int {
 	return c.order.Len()
 }
 
-// Stats returns a snapshot of the hit/miss counters.
-func (c *PlanCache) Stats() CacheStats {
+// Stats returns a snapshot of the hit/miss counters. A lookup counts as
+// exactly one of Hits (exact key), IntervalHits (a neighboring bucket's
+// feasibility interval) or Misses (a cold search).
+func (c *PlanCache) Stats() sched.PlanCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
@@ -313,22 +264,18 @@ func (c *PlanCache) Integrity() error {
 	return nil
 }
 
-// Invalidate drops every cached plan and retained search. Callers must
-// invoke it whenever the profile tables or admissibility filters behind a
-// signature change, since cached paths embed estimates from the old tables.
+// Invalidate drops every cached plan. Callers must invoke it whenever the
+// profile tables or admissibility filters behind a signature change, since
+// cached paths embed estimates from the old tables.
 func (c *PlanCache) Invalidate() {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.entries = make(map[cacheKey]*list.Element, c.capacity)
 	c.order.Init()
 	c.intervals = make(map[intervalKey]*intervalList)
 	c.oracleIDs = make(map[*profile.Oracle]uint64)
 	c.idEpoch++
 	c.stats.Invalidations++
-	c.mu.Unlock()
-
-	c.searchMu.Lock()
-	c.resumes = make(map[intervalKey]*resumeSlot)
-	c.searchMu.Unlock()
 }
 
 // QuantizeGSLO floors d to the cache's bucket width (at least one bucket,
@@ -367,9 +314,8 @@ func quantizeFirstBatch(in SearchInput, depth int) int {
 //
 // Resolution order: exact quantized key, then the feasibility-interval
 // index (an adjacent bucket whose result provably answers this target),
-// then a Resume of the retained search for the stage group, then a cold
-// search. All four return the same paths a fresh search at the quantized
-// target would.
+// then a cold search. All three return the same paths a fresh search at
+// the quantized target would.
 func (c *PlanCache) Search(in SearchInput, sig string) SearchResult {
 	in.GSLO = c.QuantizeGSLO(in.GSLO)
 	in.MaxFirstBatch = quantizeFirstBatch(in, in.MaxFirstBatch)
@@ -412,123 +358,33 @@ func (c *PlanCache) Search(in SearchInput, sig string) SearchResult {
 
 	// Run the search outside the cache lock so concurrent users of the
 	// cache never serialize on each other's searches; a racing duplicate
-	// insert is benign (identical inputs give identical results).
-	res, computedAt, resumed := c.searchCold(in, ikey)
+	// insert is skipped (identical inputs give identical results).
+	res := freezeResult(Search(in))
 
 	c.mu.Lock()
-	if resumed {
-		c.stats.Resumes++
-	} else {
-		c.stats.Misses++
+	defer c.mu.Unlock()
+	c.stats.Misses++
+	if _, ok := c.entries[key]; ok {
+		return res
 	}
-	if _, ok := c.entries[key]; !ok {
-		tmax := time.Duration(0)
-		if res.Feasible {
-			for _, p := range res.Paths {
-				if p.Time > tmax {
-					tmax = p.Time
-				}
-			}
-		}
-		c.insertLocked(key, res, computedAt, tmax)
-		// A budget-capped (truncated) search is cached for its exact key
-		// — repeats of the same capped input are identical — but kept out
-		// of the interval index: its partial result answers no other
-		// bucket (mirroring SearchRetain's refusal to retain truncated
-		// searches for the resume layer).
-		maxExp := in.MaxExpansions
-		if maxExp <= 0 {
-			maxExp = defaultMaxExpansions
-		}
-		if res.Expanded <= maxExp {
-			c.indexIntervalLocked(ikey, res, computedAt, tmax)
-		}
+	c.insertLocked(key, res)
+	// A budget-capped (truncated) search is cached for its exact key —
+	// repeats of the same capped input are identical — but kept out of the
+	// interval index: its partial result answers no other bucket.
+	maxExp := in.MaxExpansions
+	if maxExp <= 0 {
+		maxExp = defaultMaxExpansions
 	}
-	c.mu.Unlock()
+	if res.Expanded <= maxExp {
+		c.indexIntervalLocked(ikey, res, in.GSLO)
+	}
 	return res
-}
-
-// searchCold answers a lookup that missed both cache layers: by resuming
-// the stage group's retained search when only GSLO tightened, or by a
-// retained cold search. computedAt is the target the result was actually
-// searched at (a Resume may answer from a looser bucket, see
-// Searcher.Resume).
-//
-// Concurrency: the stage group's resume slot is locked for the duration of
-// the search, so same-group searches serialize in arrival order and each
-// sees its predecessor's retained state — exactly the sequential behavior.
-// Disjoint stage groups hold disjoint slot locks and search in parallel on
-// pooled searchers.
-func (c *PlanCache) searchCold(in SearchInput, ikey intervalKey) (res SearchResult, computedAt time.Duration, resumed bool) {
-	slot := c.lockSlot(ikey)
-	defer slot.mu.Unlock()
-	// Freeze while the slot is held: the retained state shares the
-	// result's storage, and later callers of the group read it only under
-	// the slot lock.
-	defer func() { res = freezeResult(res) }()
-
-	s := c.searchers.Get().(*Searcher)
-	defer c.searchers.Put(s)
-
-	var recycle *RetainedSearch
-	if slot.st != nil {
-		res, at, ok2 := s.Resume(slot.st, in.GSLO)
-		if slot.st.Dead() {
-			// The state can no longer answer; its buffers still can.
-			recycle = slot.st
-			slot.st = nil
-			if ok2 {
-				return res, at, true
-			}
-		} else if ok2 {
-			return res, at, true
-		} else {
-			// Looser target than the retained one: the cold search below
-			// replaces the state, reusing its storage.
-			recycle = slot.st
-			slot.st = nil
-		}
-	}
-	res, st := s.SearchRetain(in, recycle)
-	slot.st = st
-	return res, in.GSLO, false
-}
-
-// lockSlot returns the stage group's resume slot with its mutex held,
-// creating it (and evicting the least-recently-used slot past the bound)
-// on first use. The table lock is released before the slot lock is
-// acquired, so a slow search never blocks other groups' slot lookups; a
-// concurrently evicted slot keeps working detached, merely losing its
-// retained state for future lookups.
-func (c *PlanCache) lockSlot(ikey intervalKey) *resumeSlot {
-	c.searchMu.Lock()
-	c.seq++
-	slot, ok := c.resumes[ikey]
-	if !ok {
-		if len(c.resumes) >= maxResumeSlots {
-			var victim intervalKey
-			first := true
-			var oldest uint64
-			for k, s := range c.resumes {
-				if first || s.lastUse < oldest {
-					first, oldest, victim = false, s.lastUse, k
-				}
-			}
-			delete(c.resumes, victim)
-		}
-		slot = &resumeSlot{}
-		c.resumes[ikey] = slot
-	}
-	slot.lastUse = c.seq
-	c.searchMu.Unlock()
-	slot.mu.Lock()
-	return slot
 }
 
 // insertLocked adds an exact-key entry to the LRU, evicting from the back
 // over capacity. The caller holds c.mu and guarantees key is absent.
-func (c *PlanCache) insertLocked(key cacheKey, res SearchResult, computedAt, tmax time.Duration) {
-	ent := &cacheEntry{key: key, res: res, computedAt: computedAt, tmax: tmax}
+func (c *PlanCache) insertLocked(key cacheKey, res SearchResult) {
+	ent := &cacheEntry{key: key, res: res}
 	if c.checkMut {
 		ent.snapshot = deepCopyPaths(res.Paths)
 	}
@@ -542,10 +398,17 @@ func (c *PlanCache) insertLocked(key cacheKey, res SearchResult, computedAt, tma
 	}
 }
 
-// indexIntervalLocked records a search in the stage group's interval side
-// structure (oldest entry out past the per-key bound; least-recently-used
-// group out past the key-count bound). The caller holds c.mu.
-func (c *PlanCache) indexIntervalLocked(ikey intervalKey, res SearchResult, computedAt, tmax time.Duration) {
+// indexIntervalLocked records a search at the quantized target computedAt
+// in the stage group's interval side structure (oldest entry out past the
+// per-key bound; least-recently-used group out past the key-count bound).
+// The caller holds c.mu.
+func (c *PlanCache) indexIntervalLocked(ikey intervalKey, res SearchResult, computedAt time.Duration) {
+	var tmax time.Duration
+	if res.Feasible {
+		for _, p := range res.Paths {
+			tmax = max(tmax, p.Time)
+		}
+	}
 	c.useSeq++
 	lst, ok := c.intervals[ikey]
 	if !ok {
@@ -574,17 +437,15 @@ func (c *PlanCache) indexIntervalLocked(ikey intervalKey, res SearchResult, comp
 	lst.lastUse = c.useSeq
 }
 
-// freezeResult caps both slice levels of the result so a caller's append
-// can never write into the shared storage (appends copy instead). Element
-// writes remain physically possible — that is what CheckMutations detects.
-// An already-frozen path is not written again: a result a retained state
-// answers with is shared, and concurrent readers may hold it.
+// freezeResult caps both slice levels of a fresh search result before the
+// cache shares it, so a caller's append can never write into the shared
+// storage (appends copy instead). Element writes remain physically possible
+// — that is what CheckMutations detects.
 func freezeResult(res SearchResult) SearchResult {
 	res.Paths = res.Paths[:len(res.Paths):len(res.Paths)]
 	for i := range res.Paths {
-		if p := &res.Paths[i]; cap(p.Ests) != len(p.Ests) {
-			p.Ests = p.Ests[:len(p.Ests):len(p.Ests)]
-		}
+		p := &res.Paths[i]
+		p.Ests = p.Ests[:len(p.Ests):len(p.Ests)]
 	}
 	return res
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/esg-sched/esg/internal/profile"
+	"github.com/esg-sched/esg/internal/sched"
 )
 
 func cacheInput(o *profile.Oracle, gslo time.Duration) SearchInput {
@@ -130,8 +131,8 @@ func TestPlanCacheInvalidate(t *testing.T) {
 }
 
 func TestPlanCacheLRUEviction(t *testing.T) {
-	// Distinct signatures per entry keep the feasibility-interval and
-	// resume layers out of the way: this test is about LRU mechanics.
+	// Distinct signatures per entry keep the feasibility-interval layer out
+	// of the way: this test is about LRU mechanics.
 	o := smallOracle()
 	c := NewPlanCache(3, time.Millisecond)
 	in := cacheInput(o, 526*time.Millisecond)
@@ -161,9 +162,9 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	// lookup must not be an exact hit, and must be answered by the
 	// surviving interval entry without searching at all.
 	c.Search(in, sig(3))
-	if st := c.Stats(); st.Misses != 6 || st.IntervalHits != 1 || st.Resumes != 0 {
-		t.Errorf("misses = %d intervalHits = %d resumes = %d, want 6, 1 and 0 (evicted victim re-answered by its interval entry)",
-			st.Misses, st.IntervalHits, st.Resumes)
+	if st := c.Stats(); st.Misses != 6 || st.IntervalHits != 1 {
+		t.Errorf("misses = %d intervalHits = %d, want 6 and 1 (evicted victim re-answered by its interval entry)",
+			st.Misses, st.IntervalHits)
 	}
 }
 
@@ -311,7 +312,7 @@ func TestPlanCacheIntervalHitsDoNotChurnAtCapacity(t *testing.T) {
 		c.Search(loose, sig(i))
 	}
 	st := c.Stats()
-	want := CacheStats{Misses: groups, IntervalHits: groups * buckets, Hits: groups}
+	want := sched.PlanCacheStats{Misses: groups, IntervalHits: groups * buckets, Hits: groups}
 	if st != want {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}
@@ -320,10 +321,10 @@ func TestPlanCacheIntervalHitsDoNotChurnAtCapacity(t *testing.T) {
 	}
 }
 
-func TestPlanCacheResumeTighterTarget(t *testing.T) {
+func TestPlanCacheTighterThanTmaxMisses(t *testing.T) {
 	// A quantized target below the covering entry's t_max cannot be an
-	// interval hit — some cached path dies — but it must resume the
-	// retained search, and the result must equal a fresh search.
+	// interval hit — some cached path dies — so it is a cold search, and
+	// the result must equal a fresh search.
 	o := smallOracle()
 	c := NewPlanCache(16, 5*time.Millisecond)
 	sig := "t0|/sr/seg/cls"
@@ -338,40 +339,48 @@ func TestPlanCacheResumeTighterTarget(t *testing.T) {
 	}
 	got := c.Search(cacheInput(o, q), sig)
 	st := c.Stats()
-	if st.Resumes != 1 || st.Misses != 1 {
-		t.Fatalf("stats after tightened lookup: %+v (want 1 resume, 1 miss)", st)
+	if st.Misses != 2 || st.IntervalHits != 0 {
+		t.Fatalf("stats after tightened lookup: %+v (want 2 misses)", st)
 	}
 	fresh := freshAtQuantized(c, cacheInput(o, q))
 	if !reflect.DeepEqual(got.Paths, fresh.Paths) || got.Feasible != fresh.Feasible {
-		t.Errorf("resumed search differs from a fresh search at the quantized target")
+		t.Errorf("tightened search differs from a fresh search at the quantized target")
 	}
 
-	// Resuming a feasible retained search into an infeasible target
-	// drains. The drain must read the retained unpruned lists, exactly as
-	// a fresh search does: on the 256-config space the K-dominance prune
-	// removes the drain's per-job-fastest configurations.
+	// Tightening a feasible entry into an infeasible target drains. The
+	// drain must read the unpruned lists, exactly as a fresh search does:
+	// on the 256-config space the K-dominance prune removes the drain's
+	// per-job-fastest configurations.
 	big := testOracle()
 	c = NewPlanCache(16, 5*time.Millisecond)
 	if !c.Search(cacheInput(big, 5*time.Second), sig).Feasible {
 		t.Fatal("loose search infeasible")
 	}
 	inf := c.Search(cacheInput(big, 5*time.Millisecond), sig)
-	if st := c.Stats(); st.Resumes != 1 || st.Misses != 1 {
-		t.Fatalf("stats after infeasible lookup: %+v (want 1 resume, 1 miss)", st)
+	if st := c.Stats(); st.Misses != 2 || st.IntervalHits != 0 {
+		t.Fatalf("stats after infeasible lookup: %+v (want 2 misses)", st)
 	}
 	fresh = freshAtQuantized(c, cacheInput(big, 5*time.Millisecond))
 	if inf.Feasible || fresh.Feasible {
 		t.Fatal("5ms target reported feasible")
 	}
 	if !reflect.DeepEqual(inf.Paths, fresh.Paths) {
-		t.Errorf("resumed drain differs from a fresh search's drain")
+		t.Errorf("cached drain differs from a fresh search's drain")
+	}
+	in := cacheInput(big, 5*time.Millisecond)
+	unpruned := make([][]profile.Estimate, len(in.Tables))
+	for j, tb := range in.Tables {
+		unpruned[j] = tb.ByLatency
+	}
+	if want := drainPaths(unpruned, in.Hop); !reflect.DeepEqual(inf.Paths, want) {
+		t.Errorf("cached drain was not built from the unpruned lists")
 	}
 }
 
 func TestPlanCacheDescendingTargetsMatchFreshSearch(t *testing.T) {
 	// The controller's re-planning pattern: the same stage group searched
 	// over and over while the queue head ages and the target tightens.
-	// Every answer — exact hit, interval hit, resume, or cold — must be
+	// Every answer — exact hit, interval hit or cold — must be
 	// byte-identical to an uncached search at the quantized target.
 	o := smallOracle()
 	names := []string{profile.SuperResolution, profile.Segmentation, profile.Deblur,

@@ -8,36 +8,32 @@
 // Invariants the rest of the repository relies on:
 //
 //   - Cached plans are read-only and capacity-frozen. A SearchResult
-//     returned by PlanCache.Search is shared between the cache, its
-//     retained search states and every past and future caller of the
-//     same key; both slice levels are capacity-capped so appends copy,
-//     and CheckMutations/Integrity detect in-place writes in tests.
+//     returned by PlanCache.Search is shared between the cache and
+//     every past and future caller of the same key; both slice levels
+//     are capacity-capped so appends copy, and CheckMutations/Integrity
+//     detect in-place writes in tests.
 //   - Search ties are content-deterministic. The kept top-K paths are
 //     ordered by pathLess (cost, then time, then configurations), never
-//     by arrival or heap-pop order, so any cache tier — exact hit,
-//     feasibility-interval hit, retained-search resume — returns
-//     byte-identical paths to a fresh search at the same quantized
-//     input. Randomized equivalence tests pin this.
+//     by arrival or heap-pop order, so the sharded frontier and the
+//     reference engines agree byte for byte, and every cache tier —
+//     exact hit, feasibility-interval hit, cold search — returns the
+//     paths of a fresh search at the same quantized input. Randomized
+//     equivalence tests pin this.
 //   - Quantization is conservative. Queue depths quantize exactly
 //     (every depth in a bucket admits identical config lists); GSLO
 //     targets floor to their bucket, so a reused plan is always at
 //     least as tight as the target it answers.
-//   - A retained search resumes only provably: the suspension heap
-//     keeps a minDropped watermark, and a resume whose refilled K-th
-//     cost reaches the watermark falls back to a cold search instead of
-//     returning a possibly incomplete top-K.
 //   - The search lists are K-dominance pruned, exactly. Search drops from
 //     each stage's admitted list every configuration that at least K
 //     others in the list beat (no slower, and earlier in (JobCost, Time,
 //     Config) order, pathLess's single-stage order): swapping one in for
 //     it keeps any path feasible and makes it strictly pathLess-smaller,
 //     so a path through a pruned configuration has K better ones and is
-//     never in the top-K. The prune ignores GSLO, so retained searches
-//     resume over the same lists. The drain fallback picks by per-job
-//     time, not cost, so it reads the unpruned admitted lists — in
-//     Search and in Resume, whose retained state carries them.
-//     SearchLevelwise and BruteForceSearch stay unpruned as independent
-//     references, and the randomized oracle tests compare whole paths.
+//     never in the top-K. The prune ignores GSLO and the hop. The drain
+//     fallback picks by per-job time, not cost, so it reads the
+//     unpruned admitted lists. SearchLevelwise and BruteForceSearch stay
+//     unpruned as independent references, and the randomized oracle
+//     tests compare whole paths.
 //   - The over-constrained fallback is shared and panic-free: when no
 //     configuration passes the admissibility filter under the batch
 //     bound, Search, SearchLevelwise and BruteForceSearch all degrade

@@ -273,24 +273,7 @@ func (e *ESG) PlanCacheStats() sched.PlanCacheStats {
 	if e.cache == nil {
 		return sched.PlanCacheStats{}
 	}
-	st := e.cache.Stats()
-	return sched.PlanCacheStats{
-		Hits:          st.Hits,
-		IntervalHits:  st.IntervalHits,
-		Resumes:       st.Resumes,
-		Misses:        st.Misses,
-		Evictions:     st.Evictions,
-		Invalidations: st.Invalidations,
-	}
-}
-
-// InvalidatePlanCache drops every cached plan (for callers that mutate
-// profile tables or filters in place, invisibly to the oracle identity).
-func (e *ESG) InvalidatePlanCache() {
-	if e.cache != nil {
-		e.cache.Invalidate()
-		e.sigs = nil
-	}
+	return e.cache.Stats()
 }
 
 // ConcurrentPlanOK implements sched.ConcurrentPlanner: Plan's internal

@@ -188,6 +188,11 @@ func TestSearchInfeasibleFallsBackToDrain(t *testing.T) {
 	if len(res.Paths) == 0 {
 		t.Fatalf("no fallback paths")
 	}
+	// Even the fastest path misses 1 ms, so the time blade cuts the
+	// virtual root itself and nothing is expanded (§5.3 prints Expanded).
+	if res.Expanded != 0 {
+		t.Errorf("Expanded = %d on a target below the fastest path, want 0", res.Expanded)
+	}
 	// Drain fallbacks offer decreasing resource footprints so a loaded
 	// cluster can still place one.
 	last := res.Paths[0].Ests[0].Config

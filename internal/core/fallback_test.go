@@ -106,15 +106,26 @@ func comparePaths(t *testing.T, desc string, got, want SearchResult) {
 	}
 }
 
+// degenerateLadder searches in down a descending GSLO ladder on one reused
+// Searcher and checks every rung against the exhaustive oracle. A tighter
+// target after a looser one is what the plan cache's miss path runs: a cold
+// Search on a pooled Searcher whose buffers still hold the previous search.
+func degenerateLadder(t *testing.T, s *Searcher, desc string, in SearchInput, gslos []time.Duration) {
+	t.Helper()
+	for _, gslo := range gslos {
+		in.GSLO = gslo
+		comparePaths(t, fmt.Sprintf("%s gslo=%v", desc, gslo), s.Search(in), BruteForceSearch(in))
+	}
+}
+
 // TestDegenerateShardRetainResume is the degenerate-shard case of the
-// retained-resume machinery: the frontier is forced into per-stage shard
-// mode (lowered shardThreshold) on inputs where one stage's constraints
-// admit nothing — its list is overConstrainedFallback's single config, so
-// that stage's sub-frontier drains immediately and stays empty while the
-// other shards carry the whole search. A SearchRetain at a loose target is
-// then Resumed down a tightening GSLO ladder; every answer (resumed or the
-// cold fallback the cache would run when Resume declines) must match the
-// exhaustive oracle at that target.
+// sharded frontier: shard mode is forced (lowered shardThreshold) on an
+// input where a stage's constraints admit nothing, so its list is
+// overConstrainedFallback's single config and that stage's sub-frontier
+// drains immediately and stays empty while the other shards carry the whole
+// search. The input is searched down a descending GSLO ladder on one reused
+// Searcher. The name dates from the retained-search resume tier this ladder
+// once went through; each rung is now the cold Search that replaced it.
 func TestDegenerateShardRetainResume(t *testing.T) {
 	defer func(old int) { shardThreshold = old }(shardThreshold)
 	// Low enough that even a blade-pruned arena (the cost blade engages
@@ -131,47 +142,23 @@ func TestDegenerateShardRetainResume(t *testing.T) {
 		MaxFirstBatch: 2, Filter: onlyBatch4}
 
 	s := NewSearcher()
-	res, st := s.SearchRetain(base, nil)
+	comparePaths(t, "batch4 at 4s", s.Search(base), BruteForceSearch(base))
 	if !s.sharded {
 		t.Fatalf("frontier never sharded (arena %d ≤ threshold %d); the degenerate case needs shard mode",
 			len(s.arena), shardThreshold)
 	}
-	comparePaths(t, "retain at 4s", res, BruteForceSearch(base))
-	if st == nil {
-		t.Fatal("loose search was not retained")
-	}
-
-	for _, gslo := range []time.Duration{
+	degenerateLadder(t, s, "batch4", base, []time.Duration{
 		3 * time.Second, 2 * time.Second, 1500 * time.Millisecond,
 		time.Second, 700 * time.Millisecond, 300 * time.Millisecond,
-	} {
-		in := base
-		in.GSLO = gslo
-		desc := fmt.Sprintf("resume at %v", gslo)
-		want := BruteForceSearch(in)
-		if st != nil && !st.Dead() {
-			if got, _, ok := s.Resume(st, gslo); ok {
-				comparePaths(t, desc, got, want)
-				if st.Dead() {
-					st = nil
-				}
-				continue
-			}
-			st = nil // Resume declined: the state is consumed
-		}
-		// The cache's cold fallback: re-retain at the tighter target so
-		// the ladder keeps exercising resume below it.
-		var got SearchResult
-		got, st = s.SearchRetain(in, nil)
-		comparePaths(t, desc+" (cold)", got, want)
-	}
+	})
 }
 
-// TestDegenerateShardResumeRandomized sweeps randomized retain/resume
+// TestDegenerateShardResumeRandomized sweeps randomized descending GSLO
 // ladders with the shard threshold low enough that even SmallSpace
 // searches run sharded, over filters that leave stages empty (fallback
-// lists), nearly empty, or untouched. Every rung must match the oracle —
-// resumed, answered-from-retained or searched cold alike.
+// lists), nearly empty, or untouched. Every rung of every ladder, searched
+// on one reused Searcher, must match the oracle. As above, the name dates
+// from the deleted resume tier.
 func TestDegenerateShardResumeRandomized(t *testing.T) {
 	defer func(old int) { shardThreshold = old }(shardThreshold)
 	shardThreshold = 8
@@ -205,30 +192,12 @@ func TestDegenerateShardResumeRandomized(t *testing.T) {
 			Hop:           time.Duration(rng.Intn(3)) * time.Millisecond,
 			Filter:        fl.f,
 		}
-		res, st := s.SearchRetain(in, nil)
-		desc := fmt.Sprintf("trial %d fns=%v filter=%s gslo=%v maxBatch=%d k=%d",
-			trial, fns, fl.id, in.GSLO, in.MaxFirstBatch, in.K)
-		comparePaths(t, desc, res, BruteForceSearch(in))
-		gslo := in.GSLO
+		gslos := []time.Duration{in.GSLO}
 		for rung := 0; rung < 4; rung++ {
-			gslo = gslo * time.Duration(60+rng.Intn(35)) / 100
-			in.GSLO = gslo
-			rd := fmt.Sprintf("%s rung %d gslo=%v", desc, rung, gslo)
-			want := BruteForceSearch(in)
-			if st != nil && !st.Dead() {
-				if got, _, ok := s.Resume(st, gslo); ok {
-					comparePaths(t, rd, got, want)
-					if st.Dead() {
-						st = nil
-					}
-					continue
-				}
-				st = nil
-			}
-			var got SearchResult
-			got, st = s.SearchRetain(in, nil)
-			comparePaths(t, rd+" (cold)", got, want)
+			gslos = append(gslos, gslos[rung]*time.Duration(60+rng.Intn(35))/100)
 		}
+		degenerateLadder(t, s, fmt.Sprintf("trial %d fns=%v filter=%s maxBatch=%d k=%d",
+			trial, fns, fl.id, in.MaxFirstBatch, in.K), in, gslos)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package docs keeps the repository's documentation verifiably fresh: it
 // resolves every relative markdown link in ARCHITECTURE.md (and the
-// README) against the working tree, greps linked Go files for the symbols
-// named in link text, and pins the README's embedded esgbench usage block
+// README) against the working tree, parses linked Go files for
+// declarations of the symbols named in link text, and pins the README's embedded esgbench usage block
 // to internal/cli's canonical UsageText. scripts/checkdocs runs these
 // checks in CI (and regenerates the usage block with -fix); the package's
 // own tests run them on every `go test`.
@@ -9,6 +9,9 @@ package docs
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -25,7 +28,7 @@ var CheckedFiles = []string{"ARCHITECTURE.md", "README.md"}
 var linkRE = regexp.MustCompile(`\[([^\]]+)\]\(([^)\s]+)\)`)
 
 // symbolTextRE matches link text that names a code symbol — a backticked
-// dotted identifier chain like `core.PlanCache` or `Searcher.Resume`.
+// dotted identifier chain like `core.PlanCache` or `Searcher.Search`.
 var symbolTextRE = regexp.MustCompile("^`([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*)*)`$")
 
 // fileExtSegments are final identifier segments that mean the link text is
@@ -194,14 +197,16 @@ func packagesInMap(root string, errs *[]error) []string {
 }
 
 // checkLinks verifies every relative link target in file exists, and — for
-// symbol-shaped link text pointing at a Go file — that the symbol's final
-// segment still appears in that file.
+// symbol-shaped link text pointing at a Go file — that the file still
+// declares the symbol's final segment. A mention in a comment or string
+// does not count.
 func checkLinks(root, file string) []error {
 	data, err := os.ReadFile(filepath.Join(root, file))
 	if err != nil {
 		return []error{fmt.Errorf("%s: %v", file, err)}
 	}
 	var errs []error
+	decls := make(map[string]map[string]bool) // parsed Go files by path
 	for _, m := range linkRE.FindAllStringSubmatch(string(data), -1) {
 		text, target := m[1], m[2]
 		if strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://") ||
@@ -218,18 +223,56 @@ func checkLinks(root, file string) []error {
 			continue
 		}
 		if sym := symbolFor(text); sym != "" && strings.HasSuffix(target, ".go") {
-			content, err := os.ReadFile(path)
-			if err != nil {
-				errs = append(errs, fmt.Errorf("%s: link %q -> %q: %v", file, text, target, err))
-				continue
+			names, ok := decls[path]
+			if !ok {
+				if names, err = declaredNames(path); err != nil {
+					errs = append(errs, fmt.Errorf("%s: link %q -> %q: %v", file, text, target, err))
+					continue
+				}
+				decls[path] = names
 			}
-			wordRE := regexp.MustCompile(`\b` + regexp.QuoteMeta(sym) + `\b`)
-			if !wordRE.Match(content) {
-				errs = append(errs, fmt.Errorf("%s: link %q -> %q: symbol %q not found in target", file, text, target, sym))
+			if !names[sym] {
+				errs = append(errs, fmt.Errorf("%s: link %q -> %q: %q is not declared in target", file, text, target, sym))
 			}
 		}
 	}
 	return errs
+}
+
+// declaredNames returns every name the Go file at path declares: its
+// package clause, funcs and methods, types, vars and consts, struct fields
+// and interface methods.
+func declaredNames(path string) (map[string]bool, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	names := map[string]bool{f.Name.Name: true}
+	addFields := func(fl *ast.FieldList) {
+		for _, field := range fl.List {
+			for _, id := range field.Names {
+				names[id.Name] = true
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch d := n.(type) {
+		case *ast.FuncDecl:
+			names[d.Name.Name] = true
+		case *ast.TypeSpec:
+			names[d.Name.Name] = true
+		case *ast.ValueSpec:
+			for _, id := range d.Names {
+				names[id.Name] = true
+			}
+		case *ast.StructType:
+			addFields(d.Fields)
+		case *ast.InterfaceType:
+			addFields(d.Methods)
+		}
+		return true
+	})
+	return names, nil
 }
 
 // symbolFor extracts the symbol to grep for from a link's text: the final

@@ -35,13 +35,13 @@ func TestRepositoryDocsAreFresh(t *testing.T) {
 func TestSymbolFor(t *testing.T) {
 	cases := []struct{ text, want string }{
 		{"`core.PlanCache`", "PlanCache"},
-		{"`Searcher.Resume`", "Resume"},
+		{"`Searcher.Search`", "Search"},
 		{"`pathLess`", "pathLess"},
-		{"`esg.go`", ""},        // file name, not a symbol
-		{"`ci.yml`", ""},        // file name
-		{"`internal/cli`", ""},  // path
-		{"plain prose", ""},     // not backticked
-		{"`a`/`b`", ""},         // compound text
+		{"`esg.go`", ""},       // file name, not a symbol
+		{"`ci.yml`", ""},       // file name
+		{"`internal/cli`", ""}, // path
+		{"plain prose", ""},    // not backticked
+		{"`a`/`b`", ""},        // compound text
 	}
 	for _, c := range cases {
 		if got := symbolFor(c.text); got != c.want {
@@ -51,7 +51,10 @@ func TestSymbolFor(t *testing.T) {
 }
 
 // TestCheckLinksCatchesBreakage pins the failure modes the checker exists
-// for: a dangling file link and a renamed symbol.
+// for: a dangling file link, a renamed symbol, and a symbol the linked file
+// only mentions in a comment or a string instead of declaring. Every
+// declaration form — package clause, func, method, type, var, const,
+// struct field and interface method — resolves.
 func TestCheckLinksCatchesBreakage(t *testing.T) {
 	dir := t.TempDir()
 	writeFile := func(name, content string) {
@@ -63,11 +66,30 @@ func TestCheckLinksCatchesBreakage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	writeFile("pkg/thing.go", "package pkg\n\nfunc Present() {}\n")
-	writeFile("doc.md", "[`pkg.Present`](pkg/thing.go) [`pkg.Vanished`](pkg/thing.go) [gone](no/such/file.go)\n")
+	writeFile("pkg/thing.go", `package pkg
+
+// Ghost was deleted; only this comment still names it.
+var phantom = "Spectre"
+
+const Limit = 3
+
+type Thing struct{ Field int }
+
+type Doer interface{ Do() }
+
+func Present() {}
+
+func (Thing) Method() {}
+`)
+	doc := "[gone](no/such/file.go)\n"
+	for _, sym := range []string{"pkg", "pkg.Present", "pkg.phantom", "pkg.Limit", "pkg.Thing",
+		"Thing.Field", "pkg.Doer", "Doer.Do", "Thing.Method", "pkg.Vanished", "pkg.Ghost", "pkg.Spectre"} {
+		doc += "[`" + sym + "`](pkg/thing.go)\n"
+	}
+	writeFile("doc.md", doc)
 
 	errs := checkLinks(dir, "doc.md")
-	if len(errs) != 2 {
-		t.Fatalf("got %d errors, want 2 (dangling link + missing symbol): %v", len(errs), errs)
+	if len(errs) != 4 {
+		t.Fatalf("got %d errors, want 4 (dangling link, Vanished, Ghost in a comment, Spectre in a string): %v", len(errs), errs)
 	}
 }

@@ -15,8 +15,7 @@ import (
 func baselineMemoExport(t *testing.T, res *metrics.Result) string {
 	t.Helper()
 	e := res.ToExport(true)
-	e.PlanCacheHits, e.PlanCacheMisses = 0, 0
-	e.PlanCacheIntervalHits, e.PlanCacheResumes = 0, 0
+	e.PlanCacheHits, e.PlanCacheMisses, e.PlanCacheIntervalHits = 0, 0, 0
 	e.PlanCacheEvictions, e.PlanCacheInvalidations = 0, 0
 	b, err := json.Marshal(e)
 	if err != nil {

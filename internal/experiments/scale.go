@@ -30,8 +30,8 @@ type ScaleSpec struct {
 	// queue is revisited — and the adaptive schedulers re-plan — Replan×
 	// as often (fractions below 1 relax the cadence instead). It
 	// stresses exactly the path the plan cache's feasibility intervals
-	// and resumes are built for: the same stage groups searched again
-	// and again under a slowly tightening target.
+	// are built for: the same stage groups searched again and again under
+	// a slowly tightening target.
 	Replan float64
 	// Schedulers lists the algorithms to stress (default ESG, INFless,
 	// FaST-GShare — the adaptive planners; the offline ones add nothing

@@ -33,7 +33,6 @@ type Export struct {
 
 	PlanCacheHits          uint64 `json:"plan_cache_hits,omitempty"`
 	PlanCacheIntervalHits  uint64 `json:"plan_cache_interval_hits,omitempty"`
-	PlanCacheResumes       uint64 `json:"plan_cache_resumes,omitempty"`
 	PlanCacheMisses        uint64 `json:"plan_cache_misses,omitempty"`
 	PlanCacheEvictions     uint64 `json:"plan_cache_evictions,omitempty"`
 	PlanCacheInvalidations uint64 `json:"plan_cache_invalidations,omitempty"`
@@ -124,7 +123,6 @@ func (r *Result) ToExport(includeSeries bool) Export {
 
 		PlanCacheHits:          r.PlanCacheHits,
 		PlanCacheIntervalHits:  r.PlanCacheIntervalHits,
-		PlanCacheResumes:       r.PlanCacheResumes,
 		PlanCacheMisses:        r.PlanCacheMisses,
 		PlanCacheEvictions:     r.PlanCacheEvictions,
 		PlanCacheInvalidations: r.PlanCacheInvalidations,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/esg-sched/esg/internal/queue"
+	"github.com/esg-sched/esg/internal/sched"
 	"github.com/esg-sched/esg/internal/stats"
 	"github.com/esg-sched/esg/internal/units"
 	"github.com/esg-sched/esg/internal/workflow"
@@ -92,13 +93,15 @@ type Result struct {
 
 	// Plan-cache counters (zero when the scheduler ran without a
 	// memoized search layer). A lookup resolves as exactly one of hit,
-	// interval hit, resume, or miss (a cold search).
+	// interval hit, or miss (a cold search).
 	PlanCacheHits          uint64
 	PlanCacheIntervalHits  uint64
-	PlanCacheResumes       uint64
 	PlanCacheMisses        uint64
 	PlanCacheEvictions     uint64
 	PlanCacheInvalidations uint64
+	// PlanCacheResumes is always zero: the plan cache's resume tier was
+	// removed, and the field stays only for code that still reads it.
+	PlanCacheResumes uint64
 
 	// Faults aggregates the run's fault-injection outcomes (all zero on a
 	// fault-free run).
@@ -234,11 +237,10 @@ func (r *Result) Summary() string {
 	if r.Truncated {
 		s += " truncated"
 	}
-	saved := r.PlanCacheHits + r.PlanCacheIntervalHits + r.PlanCacheResumes
+	saved := r.PlanCacheHits + r.PlanCacheIntervalHits
 	if lookups := saved + r.PlanCacheMisses; lookups > 0 {
-		s += fmt.Sprintf(" plancache=%d/%d (exact %d, interval %d, resume %d, cold %d)",
-			saved, lookups, r.PlanCacheHits, r.PlanCacheIntervalHits, r.PlanCacheResumes,
-			r.PlanCacheMisses)
+		s += fmt.Sprintf(" plancache=%d/%d (exact %d, interval %d, cold %d)",
+			saved, lookups, r.PlanCacheHits, r.PlanCacheIntervalHits, r.PlanCacheMisses)
 	}
 	// The faults section only appears when something was injected or
 	// suffered, so fault-free summaries are byte-identical to runs without
@@ -275,20 +277,9 @@ type Collector struct {
 	prePlanned int
 	misses     int
 
-	cache  PlanCacheCounters
+	cache  sched.PlanCacheStats
 	faults FaultStats
 	xfer   XferStats
-}
-
-// PlanCacheCounters carries a scheduler's memoized-search counters into
-// the collector (see the PlanCache* fields of Result).
-type PlanCacheCounters struct {
-	Hits          uint64
-	IntervalHits  uint64
-	Resumes       uint64
-	Misses        uint64
-	Evictions     uint64
-	Invalidations uint64
 }
 
 // NewCollector starts collection for one run with the exact (stored-sample)
@@ -322,8 +313,8 @@ func (c *Collector) RecordDispatch(forced bool) {
 }
 
 // RecordCacheStats notes the scheduler's plan-cache counters at the end of
-// a run.
-func (c *Collector) RecordCacheStats(pc PlanCacheCounters) {
+// a run (see the PlanCache* fields of Result).
+func (c *Collector) RecordCacheStats(pc sched.PlanCacheStats) {
 	c.cache = pc
 }
 
@@ -418,7 +409,6 @@ func (c *Collector) Finalize(coldStarts, warmStarts, unfinished int, utilCPU, ut
 		WarmStarts:             warmStarts,
 		PlanCacheHits:          c.cache.Hits,
 		PlanCacheIntervalHits:  c.cache.IntervalHits,
-		PlanCacheResumes:       c.cache.Resumes,
 		PlanCacheMisses:        c.cache.Misses,
 		PlanCacheEvictions:     c.cache.Evictions,
 		PlanCacheInvalidations: c.cache.Invalidations,

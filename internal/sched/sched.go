@@ -150,16 +150,16 @@ type ConcurrentPlanner interface {
 	ConcurrentPlanOK()
 }
 
-// PlanCacheStats are the counters of a scheduler's memoized plan search.
-// A lookup resolves as exactly one of Hits (exact key), IntervalHits (a
-// neighboring target bucket's entry answered through its feasibility
-// interval), Resumes (a retained search was re-pruned and continued), or
-// Misses (a cold search from scratch). Memo layers without the incremental
-// tiers — the baselines' plan memo — report only Hits and Misses.
+// PlanCacheStats are the counters of a scheduler's memoized plan search,
+// the one counter type shared by ESG's plan cache, the baselines' plan
+// memo and the run metrics. A lookup resolves as exactly one of Hits
+// (exact key), IntervalHits (a neighboring target bucket's entry answered
+// through its feasibility interval) or Misses (a cold search from
+// scratch). Memo layers without the interval tier — the baselines' plan
+// memo — report only Hits and Misses.
 type PlanCacheStats struct {
 	Hits          uint64
 	IntervalHits  uint64
-	Resumes       uint64
 	Misses        uint64
 	Evictions     uint64
 	Invalidations uint64
@@ -167,7 +167,7 @@ type PlanCacheStats struct {
 
 // Lookups returns the total number of memoized searches observed.
 func (s PlanCacheStats) Lookups() uint64 {
-	return s.Hits + s.IntervalHits + s.Resumes + s.Misses
+	return s.Hits + s.IntervalHits + s.Misses
 }
 
 // PlanCaching is implemented by schedulers whose configuration search is
