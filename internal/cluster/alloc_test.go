@@ -3,6 +3,8 @@ package cluster
 import (
 	"testing"
 	"time"
+
+	"github.com/esg-sched/esg/internal/units"
 )
 
 // The steady warm-pool path must stay allocation-free: a warm StartTask
@@ -120,35 +122,79 @@ func TestBestFitAllocFree(t *testing.T) {
 	}
 }
 
-func TestWarmStampBatchesRepeatQueries(t *testing.T) {
-	// Within one timestamp the first warm query prunes the fleet and stamps
-	// it; repeats skip the per-invoker prune entirely. The stamp only
-	// engages while KeepAlive > 0 (with KeepAlive == 0 a container pushed
-	// at now is already expired at now, so every query must re-prune).
+func TestMostFreeNotWarmingAllocFree(t *testing.T) {
+	// The warm-target pick runs once per pre-warm the controller starts
+	// (Controller.ensureWarmPool) and must stay allocation-free.
 	c, inv, fn := allocPinCluster()
+	inv.BeginWarming(fn)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if got := c.MostFreeNotWarming(fn); got == nil || got == inv {
+			t.Fatalf("MostFreeNotWarming = %v, want an invoker not warming fn", got)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("MostFreeNotWarming allocates %.1f/op, want 0", allocs)
+	}
+}
+
+func TestWarmStampBatchesRepeatQueries(t *testing.T) {
+	// A fleet-wide query at now leaves the earliest-deadline bound warmNext
+	// above now, equal to the earliest surviving deadline, so repeats at
+	// now (and at any later time before that deadline) skip the prune walk.
+	c, inv, fn := allocPinCluster() // one container, deadline KeepAlive
 	now := 5 * time.Millisecond
 	if got := c.ContainersFor(fn, now); got != 1 {
 		t.Fatalf("ContainersFor = %d, want 1", got)
 	}
-	if c.idx.warmStamp[fn] != now {
-		t.Fatalf("warmStamp = %v after query at %v", c.idx.warmStamp[fn], now)
+	first := c.Cfg.KeepAlive
+	if next := c.idx.warmNext[fn]; next <= now || next != first {
+		t.Fatalf("warmNext = %v after query at %v, want the earliest deadline %v", next, now, first)
 	}
-	// A stamped repeat at the same now must see the same pool even though
-	// it skips the prune walk.
+	// A container added at the same now is counted without a walk.
 	inv.AddWarm(fn, now)
 	if got := c.ContainersFor(fn, now); got != 2 {
-		t.Fatalf("stamped repeat ContainersFor = %d, want 2", got)
+		t.Fatalf("repeat ContainersFor = %d, want 2", got)
+	}
+	// A query past the first deadline walks, drops that container and
+	// raises the bound to the survivor's deadline.
+	if got := c.ContainersFor(fn, first); got != 1 {
+		t.Fatalf("ContainersFor at the first deadline = %d, want 1", got)
+	}
+	if next := c.idx.warmNext[fn]; next != now+c.Cfg.KeepAlive {
+		t.Fatalf("warmNext = %v after expiry, want %v", next, now+c.Cfg.KeepAlive)
 	}
 
+	// A crash that flushes the earliest container leaves the bound valid:
+	// below the earliest deadline still in the fleet.
+	c1 := MustNew(DefaultConfig())
+	f1 := c1.Intern("deblur")
+	c1.Invokers[0].AddWarm(f1, 0)
+	c1.Invokers[1].AddWarm(f1, time.Millisecond)
+	c1.Invokers[0].Crash(2 * time.Millisecond)
+	if c1.idx.warmNext[f1] > time.Millisecond+c1.Cfg.KeepAlive {
+		t.Fatalf("warmNext = %v after crash, above the surviving deadline", c1.idx.warmNext[f1])
+	}
+	if got := c1.ContainersFor(f1, 3*time.Millisecond); got != 1 {
+		t.Fatalf("ContainersFor after crash = %d, want 1", got)
+	}
+	checkIndexConsistency(t, c1, 3*time.Millisecond)
+
+	// KeepAlive == 0: a container pushed at now has deadline now, so it
+	// lowers the bound to now and the next query at now prunes it.
 	cfg := DefaultConfig()
 	cfg.KeepAlive = 0
 	c0 := MustNew(cfg)
 	fn0 := c0.Intern("deblur")
-	c0.Invokers[0].AddWarm(fn0, time.Millisecond)
-	if got := c0.ContainersFor(fn0, time.Millisecond); got != 0 {
-		t.Fatalf("KeepAlive=0: ContainersFor = %d, want 0 (expired on push)", got)
-	}
-	if c0.idx.warmStamp[fn0] != 0 {
-		t.Fatalf("KeepAlive=0 run stamped the fleet (stamp=%v)", c0.idx.warmStamp[fn0])
+	for _, at := range []time.Duration{time.Millisecond, time.Millisecond, 2 * time.Millisecond} {
+		if got := c0.ContainersFor(fn0, at); got != 0 {
+			t.Fatalf("KeepAlive=0: ContainersFor before push at %v = %d, want 0", at, got)
+		}
+		c0.Invokers[0].AddWarm(fn0, at)
+		if got := c0.ContainersFor(fn0, at); got != 0 {
+			t.Fatalf("KeepAlive=0: ContainersFor at %v = %d, want 0 (expired on push)", at, got)
+		}
+		if c0.FirstWarmFit(fn0, at, units.Resources{}) != nil {
+			t.Fatalf("KeepAlive=0: FirstWarmFit at %v found an expired container", at)
+		}
 	}
 }

@@ -132,3 +132,63 @@ func BenchmarkWarmPoolChurn256(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFirstWarmFitNoFit256 measures the warm-first placement probe
+// when every invoker of a 256-node fleet holds a warm container and none
+// fits — the overloaded scale-replan4 shape, where most Place calls find
+// no fit. Fifteen of every sixteen invokers have no free GPU; the rest have
+// free GPU but no free CPU, so the GPU mask leaves a sixteenth of the fleet
+// for the per-invoker CPU check.
+func BenchmarkFirstWarmFitNoFit256(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 256
+	c := MustNew(cfg)
+	fn := c.Intern("fn-a")
+	for i, inv := range c.Invokers {
+		inv.AddWarm(fn, 0)
+		hold := units.Resources{CPU: 2, GPU: cfg.NodeGPU}
+		if i%16 == 0 {
+			hold = units.Resources{CPU: cfg.NodeCPU, GPU: 1}
+		}
+		if err := inv.Acquire(hold, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	res := units.Resources{CPU: 2, GPU: 2}
+	now := time.Duration(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += time.Nanosecond
+		if c.FirstWarmFit(fn, now, res) != nil {
+			b.Fatal("an invoker fits")
+		}
+	}
+}
+
+// BenchmarkContainersFor2048 measures the pre-warm planner's pool-size
+// query on the planet tier's 2048-node fleet with fn warm on every fifth
+// invoker (410 of them). Time advances every call, as it does between
+// controller passes, but no container expires.
+func BenchmarkContainersFor2048(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 2048
+	c := MustNew(cfg)
+	fn := c.Intern("fn-a")
+	warm := 0
+	for i, inv := range c.Invokers {
+		if i%5 == 0 {
+			inv.AddWarm(fn, 0)
+			warm++
+		}
+	}
+	now := time.Duration(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += time.Nanosecond
+		if c.ContainersFor(fn, now) != warm {
+			b.Fatal("warm pool changed size")
+		}
+	}
+}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"github.com/esg-sched/esg/internal/rng"
@@ -171,16 +173,15 @@ func (c *Cluster) TotalCapacity() units.Resources {
 	return r
 }
 
-// TotalFree returns the summed free resources at time now. Down invokers
-// contribute nothing: their capacity is unreachable until they recover.
-func (c *Cluster) TotalFree(now time.Duration) units.Resources {
+// TotalFree returns the summed free resources. Down invokers contribute
+// nothing: their capacity is unreachable until they recover.
+func (c *Cluster) TotalFree() units.Resources {
 	var r units.Resources
 	for _, inv := range c.Invokers {
 		if inv.Up() {
 			r = r.Add(inv.Free())
 		}
 	}
-	_ = now
 	return r
 }
 
@@ -195,38 +196,48 @@ func (c *Cluster) UpInvokers() int {
 	return n
 }
 
-// pruneWarmFleet prunes fn's expired warm containers across every invoker
-// in the warm index, batched behind a per-function timestamp: once the
-// fleet has been pruned at now, repeat queries at the same simulated time
-// skip the per-invoker ring checks entirely (a controller pass issues many
-// warm queries per event, all at one timestamp). Sound because time never
-// regresses and every push deadline is now+keepAlive, strictly in the
-// future while keepAlive > 0; with keepAlive == 0 a container pushed at
-// now is already expired at now, so the stamp is bypassed and every query
-// re-prunes as before.
+// pruneWarmFleet prunes fn's expired warm containers across the fleet, so
+// that afterwards the warm bitset holds exactly the invokers with a live
+// idle container of fn and warmTotal counts exactly those containers.
+// While now is below the index's earliest-deadline bound nothing can have
+// expired and it returns at once; otherwise it prunes every ring in the
+// warm bitset, in ascending ID, and stores the exact earliest surviving
+// deadline as the new bound. Either way the bound ends above now, so
+// repeat queries at one timestamp are O(1) — unless a container is pushed
+// that already expired at now (KeepAlive == 0), which lowers the bound to
+// now and makes the next query prune again.
 func (c *Cluster) pruneWarmFleet(fn FnID, now time.Duration) {
-	stamped := c.Cfg.KeepAlive > 0
-	if stamped && c.idx.warmStamp[fn] == now {
+	x := c.idx
+	if now < x.warmNext[fn] {
 		return
 	}
-	for _, id := range c.idx.warmIDs(fn) {
-		c.Invokers[id].pruneWarm(fn, now)
+	next := time.Duration(math.MaxInt64)
+	for w, v := range x.warmSet[fn] {
+		// v is a copy of the word: a prune that empties a ring clears only
+		// the current invoker's bit, which the copy already dropped.
+		for v != 0 {
+			inv := c.Invokers[w*64+bits.TrailingZeros64(v)]
+			v &= v - 1
+			inv.pruneWarm(fn, now)
+			if r := &inv.warm[fn]; r.n > 0 {
+				next = min(next, r.front())
+			}
+		}
 	}
-	if stamped {
-		c.idx.warmStamp[fn] = now
-	}
+	x.warmNext[fn] = next
 }
 
 // WarmInvokers returns invokers holding an idle warm container for the
 // function at time now, in ascending ID order. Only invokers in the warm
-// index are visited (after one batched fleet prune), not the whole fleet.
+// index are visited (after the fleet prune), not the whole fleet.
 func (c *Cluster) WarmInvokers(fn FnID, now time.Duration) []*Invoker {
 	c.idx.checkFn(fn)
 	c.pruneWarmFleet(fn, now)
 	var out []*Invoker
-	for _, id := range c.idx.warmIDs(fn) {
-		if inv := c.Invokers[id]; inv.warmLen(fn) > 0 {
-			out = append(out, inv)
+	for w, v := range c.idx.warmSet[fn] {
+		for v != 0 {
+			out = append(out, c.Invokers[w*64+bits.TrailingZeros64(v)])
+			v &= v - 1
 		}
 	}
 	return out
@@ -234,15 +245,21 @@ func (c *Cluster) WarmInvokers(fn FnID, now time.Duration) []*Invoker {
 
 // FirstWarmFit returns the lowest-ID invoker holding an idle warm container
 // for fn at now whose free capacity fits res, or nil. It is the allocation-
-// free fast path of the dispatch policies' "any warm invoker" step: one
-// batched fleet prune, then a pure bitset walk.
+// free fast path of the dispatch policies' "any warm invoker" step: after
+// the fleet prune, each non-zero warm word is masked to the invokers with
+// enough free GPU before any invoker is touched, and only those candidates
+// are checked for CPU.
 func (c *Cluster) FirstWarmFit(fn FnID, now time.Duration, res units.Resources) *Invoker {
 	c.idx.checkFn(fn)
 	c.pruneWarmFleet(fn, now)
-	for _, id := range c.idx.warmIDs(fn) {
-		inv := c.Invokers[id]
-		if inv.warmLen(fn) > 0 && inv.CanFit(res) {
-			return inv
+	for w, v := range c.idx.warmSet[fn] {
+		if v == 0 {
+			continue
+		}
+		for v &= c.idx.fitMask(int(res.GPU), w); v != 0; v &= v - 1 {
+			if inv := c.Invokers[w*64+bits.TrailingZeros64(v)]; inv.CanFit(res) {
+				return inv
+			}
 		}
 	}
 	return nil
@@ -258,15 +275,12 @@ func (c *Cluster) HasBusyOrWarming(fn FnID) bool {
 
 // ContainersFor counts every container of fn at now — busy, idle-warm
 // (pruned at now) and one per invoker with an in-flight pre-warm — the
-// fleet-wide pool size the pre-warm planners compare against demand.
+// fleet-wide pool size the pre-warm planners compare against demand. O(1)
+// after the fleet prune, which is itself O(1) until a deadline passes.
 func (c *Cluster) ContainersFor(fn FnID, now time.Duration) int {
 	c.idx.checkFn(fn)
 	c.pruneWarmFleet(fn, now)
-	n := c.idx.busyTotal[fn] + c.idx.warmingInv[fn]
-	for _, id := range c.idx.warmIDs(fn) {
-		n += c.Invokers[id].warmLen(fn)
-	}
-	return n
+	return c.idx.busyTotal[fn] + c.idx.warmingInv[fn] + c.idx.warmTotal[fn]
 }
 
 // MostFree returns the invoker with the largest free GPU capacity (ties
@@ -285,7 +299,7 @@ func (c *Cluster) MostFree() *Invoker {
 // fn, or nil when every invoker is — the background warm-up target policy.
 func (c *Cluster) MostFreeNotWarming(fn FnID) *Invoker {
 	c.idx.checkFn(fn)
-	id := c.idx.mostFreeWhere(func(id int) bool { return !c.Invokers[id].Warming(fn) })
+	id := c.idx.mostFreeExcept(c.idx.warmingSet[fn])
 	if id < 0 {
 		return nil
 	}

@@ -358,7 +358,7 @@ func TestTotalCapacityAndFree(t *testing.T) {
 	if total.CPU != 256 || total.GPU != 112 {
 		t.Errorf("total capacity = %v", total)
 	}
-	if free := c.TotalFree(0); free != total {
+	if free := c.TotalFree(); free != total {
 		t.Errorf("fresh cluster free = %v", free)
 	}
 }

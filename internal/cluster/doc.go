@@ -20,11 +20,14 @@
 //     An unresolved handle (cluster.NoFn) panics rather than aliasing
 //     function 0.
 //   - The fleetIndex is redundant state, continuously reconcilable: the
-//     capacity bucket grid, warm/busy bitsets and warming counters can
-//     be rebuilt from a full fleet scan at any point and must equal the
-//     incrementally maintained values (fuzzed in index_test.go), and a
-//     map-and-scan reference fleet must agree with every observable at
-//     every step (ref_test.go).
+//     capacity bucket grid, the warm and warming bitsets, and the busy,
+//     warming and idle-warm totals (warmTotal) can be rebuilt from a full
+//     fleet scan at any point and must equal the incrementally maintained
+//     values exactly (fuzzed in index_test.go, on fleets of one to four
+//     bitset words). The earliest-deadline bound warmNext is the one
+//     inexact field: it may sit below the earliest ring front, never
+//     above, so the rebuild compares it with ≤. A map-and-scan reference
+//     fleet must agree with every observable at every step (ref_test.go).
 //   - Warm-start semantics are fixed: a warm start consumes the oldest
 //     live container (ring head), pools prune with the exp > now
 //     boundary, and warm-presence reconciliation is lazy — exactly the

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 
@@ -17,11 +18,13 @@ import (
 //     row unions — MostFree, best-fit and warm-target selection walk the
 //     grid in the exact preference order of the scans they replaced, so
 //     tie-breaking (and with it the simulation) is unchanged;
-//   - per-function warm bitsets: the invokers holding a nonzero idle warm
-//     pool (possibly expired — membership is reconciled lazily when the
-//     pool is pruned);
-//   - per-function fleet-wide busy-container totals and counts of invokers
-//     with an in-flight pre-warm.
+//   - per-function warm bitsets: the invokers whose expiry ring for the
+//     function is non-empty (possibly holding expired entries — membership
+//     is reconciled lazily when the ring is pruned);
+//   - per-function fleet-wide totals — busy containers, idle-warm ring
+//     entries, invokers with an in-flight pre-warm (counted and as a
+//     bitset) — plus a lower bound on the earliest idle-warm deadline,
+//     which tells Cluster.pruneWarmFleet when nothing can have expired.
 //
 // All per-function state is indexed by interned FnID — flat slices grown by
 // growFns as the cluster's interner assigns handles — so the hot counters
@@ -37,18 +40,18 @@ type fleetIndex struct {
 	rows   []int    // per-free-GPU row counts, len maxGPU+1
 	rowBit []uint64 // per-row union bitsets, words each
 
-	warmSet    [][]uint64 // FnID -> bitset of invokers with idle warm pools (nil until first presence)
+	warmSet    [][]uint64 // FnID -> bitset of invokers with a non-empty ring (nil until first push)
+	warmTotal  []int      // FnID -> idle-warm ring entries across the fleet
 	busyTotal  []int      // FnID -> total busy containers
 	warmingInv []int      // FnID -> invokers with warming[fn] > 0
-	// warmStamp[fn] is the simulated time of the last fleet-wide warm
-	// prune of fn (see Cluster.pruneWarmFleet). While the clock sits at
-	// the stamp, no unexpired-at-stamp deadline can have expired (pushes
-	// are always now+keepAlive, strictly in the future for keepAlive > 0),
-	// so repeat queries at one timestamp skip per-invoker re-prunes. The
-	// zero value is sound: nothing can be expired at time 0.
-	warmStamp []time.Duration
-
-	idScratch []int // reusable ID buffer for iteration that mutates bitsets
+	warmingSet [][]uint64 // FnID -> bitset of those invokers (nil until first warm-up)
+	// warmNext[fn] is at most the earliest idle-warm deadline of fn
+	// anywhere in the fleet (math.MaxInt64 while none is known). A push
+	// lowers it; pops, prunes and crash flushes only remove deadlines, so
+	// they leave it valid; only Cluster.pruneWarmFleet raises it, to the
+	// exact earliest deadline after a fleet walk. While now < warmNext[fn]
+	// no ring of fn holds an expired entry.
+	warmNext []time.Duration
 }
 
 func newFleetIndex(shapes []units.Resources) *fleetIndex {
@@ -155,36 +158,48 @@ func (x *fleetIndex) bestFit(res units.Resources) int {
 	return -1
 }
 
-// mostFreeWhere returns the invoker with the largest free GPU capacity
-// (ties broken by lowest ID, ignoring free CPU) among those satisfying
-// keep, or -1 when none does — the background warm-target preference.
-func (x *fleetIndex) mostFreeWhere(keep func(id int) bool) int {
+// mostFreeExcept returns the invoker with the largest free GPU capacity
+// (ties broken by lowest ID, ignoring free CPU) whose bit is clear in skip,
+// or -1 when none is — the background warm-target preference. A nil skip
+// excludes nothing.
+func (x *fleetIndex) mostFreeExcept(skip []uint64) int {
 	for g := x.maxGPU; g >= 0; g-- {
 		if x.rows[g] == 0 {
 			continue
 		}
-		off := g * x.words
-		for w := 0; w < x.words; w++ {
-			v := x.rowBit[off+w]
-			for v != 0 {
-				id := w*64 + bits.TrailingZeros64(v)
-				v &= v - 1
-				if keep(id) {
-					return id
-				}
+		row := x.rowBit[g*x.words : (g+1)*x.words]
+		for w, v := range row {
+			if skip != nil {
+				v &^= skip[w]
+			}
+			if v != 0 {
+				return w*64 + bits.TrailingZeros64(v)
 			}
 		}
 	}
 	return -1
 }
 
+// fitMask returns word w of the union of the GPU rows with at least gpu
+// free vGPUs: the up invokers whose free GPU capacity could fit a request
+// for gpu vGPUs (their free CPU still needs checking).
+func (x *fleetIndex) fitMask(gpu, w int) uint64 {
+	var m uint64
+	for g := max(gpu, 0); g <= x.maxGPU; g++ {
+		m |= x.rowBit[g*x.words+w]
+	}
+	return m
+}
+
 // growFns extends the per-function slices to cover n interned handles.
 func (x *fleetIndex) growFns(n int) {
 	for len(x.busyTotal) < n {
 		x.warmSet = append(x.warmSet, nil)
+		x.warmTotal = append(x.warmTotal, 0)
 		x.busyTotal = append(x.busyTotal, 0)
 		x.warmingInv = append(x.warmingInv, 0)
-		x.warmStamp = append(x.warmStamp, 0)
+		x.warmingSet = append(x.warmingSet, nil)
+		x.warmNext = append(x.warmNext, math.MaxInt64)
 	}
 }
 
@@ -196,43 +211,48 @@ func (x *fleetIndex) checkFn(fn FnID) {
 	}
 }
 
-// warmPresence records whether an invoker currently holds a nonzero idle
-// warm pool for fn.
-func (x *fleetIndex) warmPresence(fn FnID, id int, present bool) {
-	set := x.warmSet[fn]
-	if set == nil {
-		if !present {
-			return
-		}
-		set = make([]uint64, x.words)
-		x.warmSet[fn] = set
+// setBit sets invoker id's bit in fn's bitset of sets, allocating the
+// bitset on first use.
+func (x *fleetIndex) setBit(sets [][]uint64, fn FnID, id int) {
+	if sets[fn] == nil {
+		sets[fn] = make([]uint64, x.words)
 	}
-	if present {
-		set[id/64] |= 1 << (id % 64)
-	} else {
-		set[id/64] &^= 1 << (id % 64)
-	}
+	sets[fn][id/64] |= 1 << (id % 64)
 }
 
-// warmIDs appends the IDs in fn's warm bitset to the reusable scratch in
-// ascending order and returns it. The snapshot keeps iteration stable while
-// callers prune pools (which may clear bits mid-walk).
-func (x *fleetIndex) warmIDs(fn FnID) []int {
-	ids := x.idScratch[:0]
-	for w, v := range x.warmSet[fn] {
-		for v != 0 {
-			ids = append(ids, w*64+bits.TrailingZeros64(v))
-			v &= v - 1
-		}
+func clearBit(set []uint64, id int) {
+	set[id/64] &^= 1 << (id % 64)
+}
+
+// warmPushed records an idle-warm deadline exp pushed onto invoker id's
+// ring of fn.
+func (x *fleetIndex) warmPushed(fn FnID, id int, exp time.Duration) {
+	x.warmTotal[fn]++
+	x.warmNext[fn] = min(x.warmNext[fn], exp)
+	x.setBit(x.warmSet, fn, id)
+}
+
+// warmDropped records k entries leaving invoker id's ring of fn (popped,
+// pruned or flushed); emptied reports whether the ring is now empty.
+func (x *fleetIndex) warmDropped(fn FnID, id, k int, emptied bool) {
+	x.warmTotal[fn] -= k
+	if emptied {
+		clearBit(x.warmSet[fn], id)
 	}
-	x.idScratch = ids
-	return ids
 }
 
 func (x *fleetIndex) busyDelta(fn FnID, d int) {
 	x.busyTotal[fn] += d
 }
 
-func (x *fleetIndex) warmingDelta(fn FnID, d int) {
-	x.warmingInv[fn] += d
+// warming records invoker id starting (on) or ending its in-flight
+// pre-warms of fn.
+func (x *fleetIndex) warming(fn FnID, id int, on bool) {
+	if on {
+		x.warmingInv[fn]++
+		x.setBit(x.warmingSet, fn, id)
+	} else {
+		x.warmingInv[fn]--
+		clearBit(x.warmingSet[fn], id)
+	}
 }

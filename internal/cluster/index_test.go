@@ -11,9 +11,11 @@ import (
 
 // rebuildIndex constructs a fresh fleetIndex from a full fleet scan — the
 // ground truth the incrementally maintained index must equal after any
-// operation sequence. Warm presence deliberately uses the lazily-reconciled
-// semantic the live index maintains: a bit is set iff the pool holds any
-// entries, expired or not (expiry clears bits only when a query prunes).
+// operation sequence. Warm presence and warmTotal deliberately use the
+// lazily-reconciled semantic the live index maintains: they count ring
+// entries, expired or not (expiry drops entries only when a query prunes).
+// The rebuilt warmNext is the exact earliest ring front, which the live
+// lower bound may undercut but never exceed.
 func rebuildIndex(c *Cluster) *fleetIndex {
 	shapes := make([]units.Resources, len(c.Invokers))
 	for i, inv := range c.Invokers {
@@ -33,21 +35,32 @@ func rebuildIndex(c *Cluster) *fleetIndex {
 	for fn := FnID(0); int(fn) < c.NumFns(); fn++ {
 		for _, inv := range c.Invokers {
 			if int(fn) < len(inv.warm) && inv.warm[fn].n > 0 {
-				x.warmPresence(fn, inv.ID, true)
+				r := &inv.warm[fn]
+				x.setBit(x.warmSet, fn, inv.ID)
+				x.warmTotal[fn] += r.n
+				x.warmNext[fn] = min(x.warmNext[fn], r.front())
 			}
 			if int(fn) < len(inv.busy) {
 				x.busyDelta(fn, int(inv.busy[fn]))
 			}
 			if int(fn) < len(inv.warming) && inv.warming[fn] > 0 {
-				x.warmingDelta(fn, 1)
+				x.warming(fn, inv.ID, true)
 			}
 		}
 	}
 	return x
 }
 
+// bitsetWord reads word w of a lazily allocated bitset (nil reads as empty).
+func bitsetWord(set []uint64, w int) uint64 {
+	if set == nil {
+		return 0
+	}
+	return set[w]
+}
+
 // checkIndexConsistency asserts the live index equals the rebuilt one on
-// every bitset and counter.
+// every bitset and counter, and that the live warmNext bound holds.
 func checkIndexConsistency(t *testing.T, c *Cluster, now time.Duration) {
 	t.Helper()
 	live, want := c.idx, rebuildIndex(c)
@@ -85,19 +98,60 @@ func checkIndexConsistency(t *testing.T, c *Cluster, now time.Duration) {
 		if live.warmingInv[fn] != want.warmingInv[fn] {
 			t.Fatalf("fn %d warmingInv=%d, rebuilt %d", fn, live.warmingInv[fn], want.warmingInv[fn])
 		}
+		if live.warmTotal[fn] != want.warmTotal[fn] {
+			t.Fatalf("fn %d warmTotal=%d, rebuilt %d (now=%v)", fn, live.warmTotal[fn], want.warmTotal[fn], now)
+		}
+		if live.warmNext[fn] > want.warmNext[fn] {
+			t.Fatalf("fn %d warmNext=%v above the earliest ring front %v (now=%v)", fn, live.warmNext[fn], want.warmNext[fn], now)
+		}
 		for w := 0; w < live.words; w++ {
-			var lv, wv uint64
-			if live.warmSet[fn] != nil {
-				lv = live.warmSet[fn][w]
-			}
-			if want.warmSet[fn] != nil {
-				wv = want.warmSet[fn][w]
-			}
-			if lv != wv {
+			if lv, wv := bitsetWord(live.warmSet[fn], w), bitsetWord(want.warmSet[fn], w); lv != wv {
 				t.Fatalf("fn %d warmSet word %d = %x, rebuilt %x (now=%v)", fn, w, lv, wv, now)
+			}
+			if lv, wv := bitsetWord(live.warmingSet[fn], w), bitsetWord(want.warmingSet[fn], w); lv != wv {
+				t.Fatalf("fn %d warmingSet word %d = %x, rebuilt %x", fn, w, lv, wv)
 			}
 		}
 	}
+}
+
+// drawFuzzFleet draws the node shapes and keep-alive of one seed of the
+// randomized index tests. Every third seed (from seed 1) is a wide fleet of
+// 65–200 nodes, so each bitset spans two to four words and the per-word
+// masks run past word 0; every fourth (from seed 2) uses KeepAlive 0, where
+// a container pushed at now has already expired at now.
+func drawFuzzFleet(rng *rand.Rand, seed, maxNodes int, maxKeepAlive time.Duration) ([]units.Resources, time.Duration) {
+	wide := seed%3 == 1
+	nodes := 1 + rng.Intn(maxNodes)
+	if wide {
+		nodes = 65 + rng.Intn(136)
+	}
+	keepAlive := time.Duration(1+rng.Intn(int(maxKeepAlive/time.Millisecond))) * time.Millisecond
+	if seed%4 == 2 {
+		keepAlive = 0
+	}
+	shapes := make([]units.Resources, nodes)
+	for i := range shapes {
+		maxGPU := 7
+		if wide && i < 64 {
+			// Keep word 0 off the largest-free-GPU rows so MostFree and
+			// the warm-target picks answer from later words.
+			maxGPU = 4
+		}
+		shapes[i] = units.Resources{CPU: units.VCPU(1 + rng.Intn(16)), GPU: units.VGPU(1 + rng.Intn(maxGPU))}
+	}
+	return shapes, keepAlive
+}
+
+// pickInvoker draws the invoker an operation lands on. On wide fleets half
+// the operations land on the eight invokers around ID 64, so pools build
+// up on both sides of the first word boundary instead of thinning out over
+// the whole fleet.
+func pickInvoker(rng *rand.Rand, nodes int) int {
+	if nodes <= 64 || rng.Intn(2) == 0 {
+		return rng.Intn(nodes)
+	}
+	return 60 + rng.Intn(min(8, nodes-60))
 }
 
 // TestFleetIndexConsistency fuzzes the cluster with random container and
@@ -114,12 +168,8 @@ func TestFleetIndexConsistency(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(0x1D8 + int64(seed)))
-			nodes := 1 + rng.Intn(10)
-			keepAlive := time.Duration(1+rng.Intn(8)) * time.Millisecond
-			shapes := make([]units.Resources, nodes)
-			for i := range shapes {
-				shapes[i] = units.Resources{CPU: units.VCPU(1 + rng.Intn(16)), GPU: units.VGPU(1 + rng.Intn(7))}
-			}
+			shapes, keepAlive := drawFuzzFleet(rng, seed, 10, 8*time.Millisecond)
+			nodes := len(shapes)
 			c := MustNew(Config{NodeShapes: shapes, KeepAlive: keepAlive, RemoteBandwidthMBps: 80})
 			var fns []FnID
 			for i := 0; i < 1+rng.Intn(10); i++ {
@@ -132,7 +182,7 @@ func TestFleetIndexConsistency(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						now += time.Duration(rng.Intn(3)) * time.Millisecond
 					}
-					inv := c.Invokers[rng.Intn(nodes)]
+					inv := c.Invokers[pickInvoker(rng, nodes)]
 					fn := fns[rng.Intn(len(fns))]
 					switch rng.Intn(10) {
 					case 0, 1:

@@ -163,22 +163,22 @@ func (inv *Invoker) usageIntegral(now time.Duration) (cpu, gpu float64) {
 
 // pruneWarm drops idle containers whose keep-alive expired by now —
 // amortized O(1) per container: expired deadlines pop off the ring head,
-// never a pool scan.
+// never a pool scan — and reports them to the cluster's warm index. With
+// nothing expired it does no index bookkeeping.
 func (inv *Invoker) pruneWarm(fn FnID, now time.Duration) {
 	inv.checkFn(fn)
-	if int(fn) >= len(inv.warm) {
-		return
-	}
-	if inv.warm[fn].pruneExpired(now) {
-		inv.noteWarmPool(fn, false)
+	if int(fn) < len(inv.warm) {
+		if k := inv.warm[fn].pruneExpired(now); k > 0 {
+			inv.dropWarm(fn, k)
+		}
 	}
 }
 
-// noteWarmPool reconciles the cluster's warm index with this invoker's idle
-// pool for fn.
-func (inv *Invoker) noteWarmPool(fn FnID, present bool) {
+// dropWarm reports k entries removed from fn's ring to the cluster's warm
+// index.
+func (inv *Invoker) dropWarm(fn FnID, k int) {
 	if inv.idx != nil {
-		inv.idx.warmPresence(fn, inv.ID, present)
+		inv.idx.warmDropped(fn, inv.ID, k, inv.warm[fn].n == 0)
 	}
 }
 
@@ -186,16 +186,6 @@ func (inv *Invoker) noteWarmPool(fn FnID, present bool) {
 func (inv *Invoker) HasIdleWarm(fn FnID, now time.Duration) bool {
 	inv.pruneWarm(fn, now)
 	return int(fn) < len(inv.warm) && inv.warm[fn].n > 0
-}
-
-// warmLen returns fn's idle warm-pool size without pruning. Only valid
-// right after a prune at the current timestamp (Cluster.pruneWarmFleet);
-// everyone else goes through IdleWarmCount.
-func (inv *Invoker) warmLen(fn FnID) int {
-	if int(fn) >= len(inv.warm) {
-		return 0
-	}
-	return inv.warm[fn].n
 }
 
 // IdleWarmCount returns the number of idle warm containers for fn at now.
@@ -223,14 +213,12 @@ func (inv *Invoker) StartTask(fn FnID, now time.Duration) (warm bool) {
 	inv.checkUp("StartTask")
 	inv.ensureFn(fn)
 	r := &inv.warm[fn]
-	if r.pruneExpired(now) {
-		inv.noteWarmPool(fn, false)
+	if k := r.pruneExpired(now); k > 0 {
+		inv.dropWarm(fn, k)
 	}
 	if r.n > 0 {
 		r.popFront()
-		if r.n == 0 {
-			inv.noteWarmPool(fn, false)
-		}
+		inv.dropWarm(fn, 1)
 		inv.busy[fn]++
 		if inv.idx != nil {
 			inv.idx.busyDelta(fn, 1)
@@ -258,19 +246,23 @@ func (inv *Invoker) FinishTask(fn FnID, now time.Duration) {
 	if inv.idx != nil {
 		inv.idx.busyDelta(fn, -1)
 	}
-	inv.warm[fn].push(now + inv.keepAlive)
-	inv.noteWarmPool(fn, true)
+	exp := now + inv.keepAlive
+	inv.warm[fn].push(exp)
+	if inv.idx != nil {
+		inv.idx.warmPushed(fn, inv.ID, exp)
+	}
 }
 
 // AddWarm installs an idle warm container (the pre-warmer's effect) at now.
 func (inv *Invoker) AddWarm(fn FnID, now time.Duration) {
 	inv.checkUp("AddWarm")
 	inv.ensureFn(fn)
-	if inv.warm[fn].pruneExpired(now) {
-		inv.noteWarmPool(fn, false)
+	inv.pruneWarm(fn, now)
+	exp := now + inv.keepAlive
+	inv.warm[fn].push(exp)
+	if inv.idx != nil {
+		inv.idx.warmPushed(fn, inv.ID, exp)
 	}
-	inv.warm[fn].push(now + inv.keepAlive)
-	inv.noteWarmPool(fn, true)
 }
 
 // BeginWarming marks a container of fn as being cold-started ahead of
@@ -281,7 +273,7 @@ func (inv *Invoker) BeginWarming(fn FnID) {
 	inv.ensureFn(fn)
 	inv.warming[fn]++
 	if inv.warming[fn] == 1 && inv.idx != nil {
-		inv.idx.warmingDelta(fn, 1)
+		inv.idx.warming(fn, inv.ID, true)
 	}
 }
 
@@ -300,7 +292,7 @@ func (inv *Invoker) FinishWarming(fn FnID, now time.Duration) {
 	}
 	inv.warming[fn]--
 	if inv.warming[fn] == 0 && inv.idx != nil {
-		inv.idx.warmingDelta(fn, -1)
+		inv.idx.warming(fn, inv.ID, false)
 	}
 	inv.AddWarm(fn, now)
 }
@@ -337,13 +329,11 @@ func (inv *Invoker) Crash(now time.Duration) (idleFlushed int) {
 		// Count only containers still alive at the crash: expired-but-
 		// unpruned ring entries are not lost capacity, and pruning first
 		// keeps the count independent of when lazy prunes last ran.
-		if inv.warm[fn].pruneExpired(now) {
-			inv.noteWarmPool(FnID(fn), false)
-		}
+		inv.pruneWarm(FnID(fn), now)
 		if n := inv.warm[fn].n; n > 0 {
 			idleFlushed += n
 			inv.warm[fn].reset()
-			inv.noteWarmPool(FnID(fn), false)
+			inv.dropWarm(FnID(fn), n)
 		}
 		if inv.busy[fn] != 0 {
 			panic(fmt.Sprintf("invoker %d: Crash with %d busy containers of fn %d; abort in-flight tasks first", inv.ID, inv.busy[fn], fn))
@@ -351,7 +341,7 @@ func (inv *Invoker) Crash(now time.Duration) (idleFlushed int) {
 		if inv.warming[fn] > 0 {
 			inv.warming[fn] = 0
 			if inv.idx != nil {
-				inv.idx.warmingDelta(FnID(fn), -1)
+				inv.idx.warming(FnID(fn), inv.ID, false)
 			}
 		}
 	}
@@ -385,8 +375,3 @@ func (inv *Invoker) BusyContainers(fn FnID) int {
 	}
 	return int(inv.busy[fn])
 }
-
-// FragmentationScore returns the free-GPU count — the quantity INFless and
-// FaST-GShare placement policies minimize (a smaller remainder means less
-// fragmentation).
-func (inv *Invoker) FragmentationScore() units.VGPU { return inv.Free().GPU }

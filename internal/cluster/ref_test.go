@@ -16,10 +16,11 @@ import (
 // observable — warm/cold start classification, presence, counts,
 // WarmInvokers ID order, placement winners — must match after every step.
 // Timestamps are non-decreasing (with deliberate equal-time runs), function
-// counts reach a dozen, and pool sizes reach 100. Crash/recover churn rides
-// along: nodes go down (flushing container state, leaving every placement
-// query) and come back cold, following the controller's abort-then-crash
-// protocol.
+// counts reach a dozen, and pool sizes reach 100. Fleets fill one bitset
+// word or, on wide seeds, up to four, and some seeds run with KeepAlive 0
+// (see drawFuzzFleet). Crash/recover churn rides along: nodes go down
+// (flushing container state, leaving every placement query) and come back
+// cold, following the controller's abort-then-crash protocol.
 
 // refInvoker is the reference node: per-function warm pools as expiry-time
 // slices pruned by scanning, busy/warming as plain maps.
@@ -257,14 +258,9 @@ type fleetPair struct {
 	held [][]units.Resources
 }
 
-func newFleetPair(t *testing.T, rng *rand.Rand) *fleetPair {
-	nodes := 1 + rng.Intn(8)
+func newFleetPair(t *testing.T, rng *rand.Rand, seed int) *fleetPair {
+	shapes, keepAlive := drawFuzzFleet(rng, seed, 8, 20*time.Millisecond)
 	numFns := 1 + rng.Intn(12)
-	keepAlive := time.Duration(1+rng.Intn(20)) * time.Millisecond
-	shapes := make([]units.Resources, nodes)
-	for i := range shapes {
-		shapes[i] = units.Resources{CPU: units.VCPU(1 + rng.Intn(16)), GPU: units.VGPU(1 + rng.Intn(7))}
-	}
 	c := MustNew(Config{
 		NodeShapes:          shapes,
 		KeepAlive:           keepAlive,
@@ -274,7 +270,7 @@ func newFleetPair(t *testing.T, rng *rand.Rand) *fleetPair {
 	for i, s := range shapes {
 		rf.invokers = append(rf.invokers, newRefInvoker(i, s, keepAlive))
 	}
-	p := &fleetPair{t: t, c: c, ref: rf, held: make([][]units.Resources, nodes)}
+	p := &fleetPair{t: t, c: c, ref: rf, held: make([][]units.Resources, len(shapes))}
 	for i := 0; i < numFns; i++ {
 		p.fns = append(p.fns, c.Intern(fmt.Sprintf("fn-%d", i)))
 	}
@@ -293,7 +289,7 @@ func (p *fleetPair) step(rng *rand.Rand) {
 	if rng.Intn(10) >= 4 {
 		p.now += time.Duration(rng.Intn(30)) * time.Millisecond / 10
 	}
-	inv := rng.Intn(len(p.c.Invokers))
+	inv := pickInvoker(rng, len(p.c.Invokers))
 	fn := p.fns[rng.Intn(len(p.fns))]
 	ci, ri := p.c.Invokers[inv], p.ref.invokers[inv]
 
@@ -485,7 +481,7 @@ func (p *fleetPair) checkFull() {
 	if got := p.c.UpInvokers(); got != upWant {
 		p.t.Fatalf("now=%v: UpInvokers=%d, reference %d", p.now, got, upWant)
 	}
-	if got := p.c.TotalFree(p.now); got != freeWant {
+	if got := p.c.TotalFree(); got != freeWant {
 		p.t.Fatalf("now=%v: TotalFree=%v, reference %v", p.now, got, freeWant)
 	}
 }
@@ -500,7 +496,7 @@ func TestWarmPoolEngineMatchesReference(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(0xE5C9 + int64(seed)))
-			p := newFleetPair(t, rng)
+			p := newFleetPair(t, rng, seed)
 			for i := 0; i < ops; i++ {
 				p.step(rng)
 				p.checkSpot(rng)

@@ -52,18 +52,15 @@ func (r *expiryRing) popFront() {
 }
 
 // pruneExpired pops every deadline that has passed by now (the boundary
-// keeps exp > now, matching the scan it replaced) and reports whether a
-// previously non-empty pool emptied, i.e. whether the warm-presence index
-// needs reconciling.
-func (r *expiryRing) pruneExpired(now time.Duration) (emptied bool) {
-	if r.n == 0 {
-		return false
-	}
+// keeps exp > now, matching the scan it replaced) and returns how many it
+// popped, so the caller can reconcile the fleet-wide warm index.
+func (r *expiryRing) pruneExpired(now time.Duration) (popped int) {
 	for r.n > 0 && r.buf[r.head] <= now {
 		r.head = (r.head + 1) & (len(r.buf) - 1)
 		r.n--
+		popped++
 	}
-	return r.n == 0
+	return popped
 }
 
 // reset empties the ring, keeping the storage. Unlike pruneExpired this

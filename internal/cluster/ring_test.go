@@ -41,24 +41,24 @@ func TestExpiryRingPruneBoundary(t *testing.T) {
 	var r expiryRing
 	r.push(10)
 	r.push(20)
-	if r.pruneExpired(9) {
-		t.Fatalf("prune before any deadline emptied the ring")
+	if k := r.pruneExpired(9); k != 0 {
+		t.Fatalf("prune before any deadline popped %d", k)
 	}
 	if r.n != 2 {
 		t.Fatalf("n = %d after no-op prune", r.n)
 	}
 	// The boundary keeps exp > now: a deadline exactly at now expires.
-	if r.pruneExpired(10) {
-		t.Fatalf("prune at first deadline emptied the ring")
+	if k := r.pruneExpired(10); k != 1 {
+		t.Fatalf("prune at first deadline popped %d, want 1", k)
 	}
 	if r.n != 1 || r.front() != 20 {
 		t.Fatalf("n=%d front=%v after boundary prune, want 1/20", r.n, r.front())
 	}
-	if !r.pruneExpired(25) {
-		t.Fatalf("prune past all deadlines did not report emptied")
+	if k := r.pruneExpired(25); k != 1 || r.n != 0 {
+		t.Fatalf("prune past all deadlines popped %d leaving %d, want 1/0", k, r.n)
 	}
-	if r.pruneExpired(30) {
-		t.Fatalf("prune of an empty ring reported emptied")
+	if k := r.pruneExpired(30); k != 0 {
+		t.Fatalf("prune of an empty ring popped %d", k)
 	}
 }
 

@@ -20,10 +20,10 @@ import (
 type failKind uint8
 
 const (
-	failNone       failKind = iota
-	failCold                // the cold start fails; the task never runs
-	failTransient           // the function fails part-way through execution
-	failStraggler           // straggler aborted at the re-dispatch timeout
+	failNone      failKind = iota
+	failCold               // the cold start fails; the task never runs
+	failTransient          // the function fails part-way through execution
+	failStraggler          // straggler aborted at the re-dispatch timeout
 )
 
 // flight is one in-flight task under fault injection, tracked per invoker

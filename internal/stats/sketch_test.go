@@ -125,7 +125,7 @@ func TestSketchQuantileErrorBound(t *testing.T) {
 		for i := range xs {
 			// Lognormal-ish latencies with occasional heavy-tail spikes —
 			// the shape of real serverless latency data.
-			x := math.Exp(math.Log(50)+0.8*src.Normal())
+			x := math.Exp(math.Log(50) + 0.8*src.Normal())
 			if src.Float64() < 0.02 {
 				x *= 10 + 40*src.Float64()
 			}
@@ -152,7 +152,7 @@ func TestSketchMergeEqualsUnion(t *testing.T) {
 	var whole Sketch
 	shards := make([]Sketch, 4)
 	for i := 0; i < 10000; i++ {
-		x := math.Exp(4+1.2*src.Normal())
+		x := math.Exp(4 + 1.2*src.Normal())
 		whole.Observe(x)
 		shards[i%4].Observe(x)
 	}
@@ -197,7 +197,7 @@ func TestSketchDeterministicAcrossFillOrder(t *testing.T) {
 	xs := make([]float64, 3000)
 	src := rng.New(123)
 	for i := range xs {
-		xs[i] = math.Exp(3+src.Normal())
+		xs[i] = math.Exp(3 + src.Normal())
 	}
 	var fwd, rev Sketch
 	for _, x := range xs {
