@@ -94,10 +94,6 @@ func main() {
 	if r.Parallel <= 0 {
 		r.Parallel = runtime.GOMAXPROCS(0)
 	}
-	r.CellShards = opts.CellShards
-	if r.CellShards <= 0 {
-		r.CellShards = runtime.GOMAXPROCS(0)
-	}
 	if !opts.Wall {
 		r.Wall.Disable()
 	}

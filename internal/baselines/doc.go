@@ -25,7 +25,7 @@
 //   - The key space is bounded by apps × stages × (batch options + 1), a
 //     few hundred entries at production scale, so the memo needs no LRU.
 //
-// A Memo is owned by one scheduler instance and one emulation run; it is
-// not safe for concurrent use (the parallel experiment runner gives every
-// cell its own scheduler, see internal/experiments.Runner).
+// A Memo usually belongs to one scheduler instance and one emulation run.
+// A planet grid shares one Memo between the cells of a scheduler, which the
+// parallel experiment runner may run at once, so the memo locks its map.
 package baselines

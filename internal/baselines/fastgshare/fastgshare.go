@@ -34,9 +34,8 @@ type Scheduler struct {
 	// per-instance splits map still fronts it.
 	Splits *sched.SplitMemo
 
-	// splitMu guards the lazily filled splits memo under the controller's
-	// parallel pre-planning (ConcurrentPlanOK); the memo and the shared
-	// plan memo are the only mutable state Plan touches.
+	// splitMu guards the lazily filled splits memo; it and the shared plan
+	// memo are the only mutable state Plan touches.
 	splitMu sync.Mutex
 	splits  map[int][]time.Duration
 }
@@ -67,12 +66,6 @@ func (s *Scheduler) stageBudget(env *sched.Env, q *queue.AFW) time.Duration {
 	}
 	return split[q.Stage]
 }
-
-// ConcurrentPlanOK implements sched.ConcurrentPlanner: the splits memo and
-// the shared plan memo are synchronized, and the ranking is a pure
-// function of the memo key, so a concurrently computed plan is identical
-// to the sequential one.
-func (s *Scheduler) ConcurrentPlanOK() {}
 
 // Plan implements sched.Scheduler: among configurations meeting the static
 // stage deadline, pick the smallest GPU (then CPU) share, running as close

@@ -58,8 +58,7 @@ type Scheduler struct {
 	// one-time build.
 	Splits *sched.SplitMemo
 
-	// mu guards the lazily built table and the hit/cold counters under
-	// the controller's parallel pre-planning (ConcurrentPlanOK).
+	// mu guards the lazily built table and the hit/cold counters.
 	mu    sync.Mutex
 	table *table
 	stats sched.PlanCacheStats
@@ -82,11 +81,6 @@ func New() *Scheduler {
 
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return "GSwarm" }
-
-// ConcurrentPlanOK implements sched.ConcurrentPlanner: the table is built
-// once under the mutex and read-only afterwards, so Plan is a synchronized
-// pure function of (AppIndex, Stage, Len()).
-func (s *Scheduler) ConcurrentPlanOK() {}
 
 // EnablePlanCache implements sched.PlanCaching. The static table is
 // structural and always on — one cold build, every later Plan answered

@@ -50,7 +50,6 @@ func fill(e *sched.Env, q *queue.AFW, appIdx, n int) {
 
 func TestInterfaces(t *testing.T) {
 	var _ sched.Scheduler = gswarm.New()
-	var _ sched.ConcurrentPlanner = gswarm.New()
 	var _ sched.PlanCaching = gswarm.New()
 	if got := gswarm.New().Name(); got != "GSwarm" {
 		t.Errorf("Name() = %q, want GSwarm", got)

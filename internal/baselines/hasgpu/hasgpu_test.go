@@ -48,7 +48,6 @@ func fill(e *sched.Env, q *queue.AFW, appIdx, n int) {
 
 func TestInterfaces(t *testing.T) {
 	var _ sched.Scheduler = hasgpu.New()
-	var _ sched.ConcurrentPlanner = hasgpu.New()
 	var _ sched.PlanCaching = hasgpu.New()
 	var _ baselines.MemoUser = hasgpu.New()
 	if got := hasgpu.New().Name(); got != "HAS-GPU" {

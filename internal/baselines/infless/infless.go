@@ -36,9 +36,8 @@ type Scheduler struct {
 	// per-instance splits map still fronts it.
 	Splits *sched.SplitMemo
 
-	// splitMu guards the lazily filled splits memo under the controller's
-	// parallel pre-planning (ConcurrentPlanOK); the memo and the shared
-	// plan memo are the only mutable state Plan touches.
+	// splitMu guards the lazily filled splits memo; it and the shared plan
+	// memo are the only mutable state Plan touches.
 	splitMu sync.Mutex
 	splits  map[int][]time.Duration
 }
@@ -69,12 +68,6 @@ func (s *Scheduler) stageBudget(env *sched.Env, q *queue.AFW) time.Duration {
 	}
 	return split[q.Stage]
 }
-
-// ConcurrentPlanOK implements sched.ConcurrentPlanner: the splits memo and
-// the shared plan memo are synchronized, and the ranking is a pure
-// function of the memo key, so a concurrently computed plan is identical
-// to the sequential one.
-func (s *Scheduler) ConcurrentPlanOK() {}
 
 // Plan implements sched.Scheduler: enumerate the stage's configurations,
 // keep those meeting the static per-stage deadline, and rank them by

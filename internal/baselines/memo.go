@@ -29,10 +29,11 @@ type Key struct {
 // that sound — and the bounded key space makes an eviction policy
 // unnecessary.
 type Memo struct {
-	// mu makes Lookup/Store safe under the controller's parallel
-	// pre-planning. Rankings are pure functions of their key, so
-	// concurrent fills of one key store identical slices — the lock only
-	// keeps the map and counters coherent, it never changes a candidate.
+	// mu makes Lookup/Store safe when a planet grid shares one Memo
+	// across cells that run at once. Rankings are pure functions of their
+	// key, so concurrent fills of one key store identical slices — the
+	// lock only keeps the map and counters coherent, it never changes a
+	// candidate.
 	mu      sync.Mutex
 	entries map[Key][]profile.Config
 	stats   sched.PlanCacheStats

@@ -21,7 +21,6 @@ type Options struct {
 	Seed         uint64
 	Scale        float64
 	Parallel     int
-	CellShards   int
 	PlanCache    bool
 	BaselineMemo bool
 	Overhead     string
@@ -52,6 +51,11 @@ type Options struct {
 	XferOut float64
 	PCIe    float64
 	NIC     float64
+
+	// CellShards is ignored; each cell plans on one goroutine.
+	//
+	// Deprecated: read only by bench/cmd/esgperf.
+	CellShards int
 }
 
 // synopsis heads the help text; the flag defaults below it are printed by
@@ -80,7 +84,7 @@ func NewFlagSet(o *Options) *flag.FlagSet {
 	fs.Uint64Var(&o.Seed, "seed", 42, "random seed; every random stream (traces, noise, offline training, fault schedules) derives from it")
 	fs.Float64Var(&o.Scale, "scale", 1.0, "trace-size multiplier; 1.0 is the full evaluation")
 	fs.IntVar(&o.Parallel, "parallel", 1, "worker-pool size for independent scenario runs (0 = GOMAXPROCS); output is byte-identical to -parallel 1 at the same seed when -overhead is not \"measured\"")
-	fs.IntVar(&o.CellShards, "cellshards", 1, "within-cell planning shards: each controller pre-plans ready queues over this many goroutines per scheduling pass (0 = GOMAXPROCS, 1 = sequential); requires a scheduler that opts into concurrent planning (ESG, INFless, FaST-GShare — others run sequentially), output is byte-identical to -cellshards 1 at the same seed")
+	fs.IntVar(&o.CellShards, "cellshards", 1, "ignored: each cell plans on one goroutine (kept so older command lines still parse)")
 	fs.BoolVar(&o.PlanCache, "plancache", false, "enable the memoized ESG_1Q plan cache (per-run LRU, default capacity 4096, 5ms GSLO buckets; exact/interval reuse tiers)")
 	fs.BoolVar(&o.BaselineMemo, "baselinememo", true, "keep the always-on baseline plan memo (INFless/FaST-GShare candidate rankings); -baselinememo=false re-ranks on every Plan call — the un-memoized reference for A/B equivalence and benchmarking, byte-identical output")
 	fs.StringVar(&o.Overhead, "overhead", "measured", "how scheduling overhead is charged on the simulated clock: measured (paper default, wall clock — run-dependent), none, or fixed")

@@ -102,14 +102,6 @@ type Config struct {
 	// recorder's output is byte-identical to historical runs.
 	StreamMetrics bool
 
-	// CellShards is the number of parallel planning shards inside this
-	// cell's controller (0 or 1 = fully sequential). Sharding requires the
-	// scheduler to opt in via sched.ConcurrentPlanner — otherwise the knob
-	// is a no-op — and never changes results: speculative plans are
-	// consumed in the sequential scan order and only when still valid, so
-	// artifacts are byte-identical to a CellShards=1 run at the same seed.
-	CellShards int
-
 	// Overhead selects how scheduling overhead is charged.
 	Overhead      sched.OverheadMode
 	FixedOverhead time.Duration
@@ -257,10 +249,6 @@ type Controller struct {
 	// allocating per task.
 	jobBufs [][]*queue.Job
 
-	// shards, when non-nil, pre-plans ready queues in parallel at the top
-	// of every pass (see planShards); nil runs the scan fully sequential.
-	shards *planShards
-
 	passPending bool
 	lastPass    time.Duration
 
@@ -374,11 +362,6 @@ func NewSource(cfg Config, s sched.Scheduler, src workload.Source) (*Controller,
 	if cfg.PlanCache {
 		if pc, ok := s.(sched.PlanCaching); ok {
 			pc.EnablePlanCache(cfg.PlanCacheSize, cfg.PlanCacheGranularity)
-		}
-	}
-	if cfg.CellShards > 1 {
-		if _, ok := s.(sched.ConcurrentPlanner); ok {
-			c.shards = newPlanShards(cfg.CellShards, len(qs.Queues))
 		}
 	}
 	c.planners = make([]*prewarm.PoolPlanner, len(qs.Queues))
@@ -496,8 +479,8 @@ func (c *Controller) arrive(req workload.Request, warmup bool) {
 }
 
 // getInstance returns a recycled (or fresh) instance with the next
-// monotonic ID. IDs never repeat, so attempt keys and shard speculation
-// stay collision-free across recycling.
+// monotonic ID. IDs never repeat, so attempt keys stay collision-free
+// across recycling.
 func (c *Controller) getInstance(appIndex int, app *workflow.App) *queue.Instance {
 	id := c.instMade
 	c.instMade++
@@ -558,7 +541,6 @@ func (c *Controller) requestPass() {
 func (c *Controller) runPass() {
 	c.passPending = false
 	c.lastPass = c.engine.Now()
-	c.speculate()
 	c.retryRecheck()
 	n := len(c.queues.Queues)
 	for i := 0; i < n; i++ {
@@ -603,7 +585,7 @@ func (c *Controller) processQueue(q *queue.AFW) {
 		if c.lastOutcome[q.ID] == deferred && key == c.lastAttempt[q.ID] && !c.deferWindowExpired(q) {
 			return
 		}
-		plan := c.planFor(q)
+		plan := c.scheduler.Plan(c.env, q, c.engine.Now())
 		c.collector.RecordPlan(plan.Overhead, plan.PrePlanned, plan.ConfigMiss)
 		outcome := c.tryDispatch(q, plan, false)
 		c.lastAttempt[q.ID] = key
@@ -745,7 +727,7 @@ func (c *Controller) retryRecheck() {
 			continue
 		}
 		c.lastAttempt[q.ID] = key
-		plan := c.planFor(q)
+		plan := c.scheduler.Plan(c.env, q, c.engine.Now())
 		c.collector.RecordPlan(plan.Overhead, plan.PrePlanned, plan.ConfigMiss)
 		outcome := c.tryDispatch(q, plan, false)
 		c.lastOutcome[q.ID] = outcome

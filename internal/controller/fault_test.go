@@ -201,10 +201,10 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedLockstepFaults extends the sharded determinism contract to
-// fault injection: a sharded controller under crash churn, transient
-// failures and stragglers must reproduce the sequential controller's
-// result and fault trace exactly.
+// TestShardedLockstepFaults extends TestShardedLockstep to fault
+// injection: under crash churn, transient failures and stragglers, two
+// runs with fresh schedulers must produce equal Results and identical
+// fault traces. The name dates from the deleted within-cell plan sharding.
 func TestShardedLockstepFaults(t *testing.T) {
 	fs := fault.Spec{
 		MTBF: 50 * time.Millisecond, MTTR: 10 * time.Millisecond,
@@ -216,8 +216,8 @@ func TestShardedLockstepFaults(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= seeds; seed++ {
 		cell := randomMiniCell(seed)
-		mk := func(shards int) (*metrics.Result, string) {
-			cfg := cell.config(shards, false)
+		mk := func() (*metrics.Result, string) {
+			cfg := cell.config(false)
 			cfg.Faults = fs
 			c, err := New(cfg, core.New(), cell.trace)
 			if err != nil {
@@ -226,13 +226,13 @@ func TestShardedLockstepFaults(t *testing.T) {
 			res := c.Execute()
 			return res, c.FaultTrace()
 		}
-		ref, refTrace := mk(1)
-		got, gotTrace := mk(4)
+		ref, refTrace := mk()
+		got, gotTrace := mk()
 		if refTrace != gotTrace {
-			t.Errorf("seed %d: sharded fault trace diverged from sequential", seed)
+			t.Errorf("seed %d: rerun fault trace diverged", seed)
 		}
 		if !reflect.DeepEqual(ref, got) {
-			t.Errorf("seed %d: sharded faulted result diverged\nseq: %s\nshd: %s", seed, ref.Summary(), got.Summary())
+			t.Errorf("seed %d: rerun faulted result diverged\nfirst:  %s\nsecond: %s", seed, ref.Summary(), got.Summary())
 		}
 	}
 }

@@ -14,8 +14,8 @@
 //     detect in-place writes in tests.
 //   - Search ties are content-deterministic. The kept top-K paths are
 //     ordered by pathLess (cost, then time, then configurations), never
-//     by arrival or heap-pop order, so the sharded frontier and the
-//     reference engines agree byte for byte, and every cache tier —
+//     by arrival or heap-pop order, so the A* search and the reference
+//     engines agree byte for byte, and every cache tier —
 //     exact hit, feasibility-interval hit, cold search — returns the
 //     paths of a fresh search at the same quantized input. Randomized
 //     equivalence tests pin this.

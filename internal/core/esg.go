@@ -42,9 +42,8 @@ type ESG struct {
 
 	// cache, when non-nil, memoizes ESG_1Q searches across Plan calls.
 	cache *PlanCache
-	// mu guards the lazily filled sigs and dists memos so Plan is safe
-	// under the controller's parallel pre-planning (ConcurrentPlanOK).
-	// The plan cache carries its own synchronization.
+	// mu guards the lazily filled sigs and dists memos. The plan cache
+	// carries its own synchronization.
 	mu sync.Mutex
 	// sigs memoizes the cache signature per (oracle, stage) — Plan is
 	// the hot path, and the signature is deterministic for those inputs.
@@ -275,13 +274,6 @@ func (e *ESG) PlanCacheStats() sched.PlanCacheStats {
 	}
 	return e.cache.Stats()
 }
-
-// ConcurrentPlanOK implements sched.ConcurrentPlanner: Plan's internal
-// memos (sigs, dists, the plan cache and the searcher pool) are all
-// synchronized, and the candidate list is a deterministic function of the
-// queue coordinates and now — the search result is input-deterministic
-// regardless of which cache tier answers.
-func (e *ESG) ConcurrentPlanOK() {}
 
 // Place implements sched.Scheduler with ESG_Dispatch's locality policy.
 func (e *ESG) Place(env *sched.Env, q *queue.AFW, jobs []*queue.Job, cfg profile.Config, now time.Duration) *cluster.Invoker {

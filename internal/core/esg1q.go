@@ -71,13 +71,6 @@ type SearchResult struct {
 	Expanded int
 }
 
-// shardThreshold is the arena size at which a search's frontier flips
-// from one global binary heap to per-stage shards (see shardFrontier).
-// Small searches — the overwhelming majority — never pay for the extra
-// indirection; only graph blow-ups cross it. A variable only so tests can
-// lower it and exercise the sharded path on tractable inputs.
-var shardThreshold = 1 << 15
-
 const defaultMaxExpansions = 4 << 20
 
 // Searcher runs ESG_1Q searches with reusable scratch: the A* node arena,
@@ -112,13 +105,8 @@ type Searcher struct {
 	stageT  [][]time.Duration
 	stageC  [][]units.Money
 
-	// The frontier: a single binary heap (open) until the arena crosses
-	// shardThreshold, per-stage heaps (shards) afterwards.
-	open     []openItem
-	shards   [][]shardItem
-	sharded  bool
-	shardSeq int32
-	fsize    int
+	// open is the frontier: a binary min-heap on f (see pushOpen).
+	open []openItem
 
 	best pathHeap
 }
@@ -166,9 +154,9 @@ func (s *Searcher) Search(in SearchInput) SearchResult {
 
 	res := SearchResult{}
 	s.best.reset(k) // the K cheapest feasible full paths
-	s.resetFrontier()
+	s.open = s.open[:0]
 	s.arena = append(s.arena[:0], node{level: -1}) // virtual start node
-	s.pushFrontier(s.minCostAfter[0], 0, -1)       // admissible heuristic from the start
+	s.pushOpen(s.minCostAfter[0], 0)               // admissible heuristic from the start
 	s.runLoop(in.GSLO, in.Hop, maxExp, &res)
 
 	res.Paths = s.best.take()
@@ -193,8 +181,8 @@ func (s *Searcher) runLoop(gslo, hop time.Duration, maxExp int, res *SearchResul
 	// refreshed after every accepted path.
 	var bestFull bool
 	var bestWorst units.Money
-	for s.fsize > 0 {
-		it := s.popFrontier()
+	for len(s.open) > 0 {
+		it := s.popOpen()
 		if bestFull && it.f > bestWorst {
 			// No remaining node can beat or tie the K-th best full path.
 			// The bound is strict so paths tying the K-th cost are still
@@ -261,10 +249,7 @@ func (s *Searcher) runLoop(gslo, hop time.Duration, maxExp int, res *SearchResul
 			s.arena = append(s.arena, node{
 				parent: it.idx, estIdx: int32(idx), level: int32(j), time: t, cost: c,
 			})
-			s.pushFrontier(rscLow, int32(len(s.arena)-1), int32(j))
-			if !s.sharded && len(s.arena) > shardThreshold {
-				s.shardFrontier(m)
-			}
+			s.pushOpen(rscLow, int32(len(s.arena)-1))
 		}
 	}
 }
@@ -493,95 +478,10 @@ type openItem struct {
 	idx int32
 }
 
-// shardItem is a frontier entry of the sharded frontier. seq is the global
-// insertion sequence: the cross-shard merge pops by (f, seq), so the pop
-// order — and with it every tie-dependent outcome — is deterministic.
-type shardItem struct {
-	f   units.Money
-	seq int32
-	idx int32
-}
-
-func shardLess(a, b shardItem) bool {
-	return a.f < b.f || (a.f == b.f && a.seq < b.seq)
-}
-
-// resetFrontier empties the frontier and returns it to single-heap mode.
-func (s *Searcher) resetFrontier() {
-	s.open = s.open[:0]
-	if s.sharded {
-		for i := range s.shards {
-			s.shards[i] = s.shards[i][:0]
-		}
-		s.sharded = false
-	}
-	s.shardSeq = 0
-	s.fsize = 0
-}
-
-// pushFrontier inserts a node (by arena index) with cost lower bound f.
-// level is the node's level; the sharded frontier buckets by the stage the
-// node expands next (level+1).
-func (s *Searcher) pushFrontier(f units.Money, idx, level int32) {
-	s.fsize++
-	if !s.sharded {
-		s.pushOpen(f, idx)
-		return
-	}
-	s.pushShard(int(level)+1, shardItem{f: f, seq: s.shardSeq, idx: idx})
-	s.shardSeq++
-}
-
-// popFrontier removes and returns the frontier minimum: the heap root in
-// single-heap mode, the (f, seq)-least shard head in sharded mode.
-func (s *Searcher) popFrontier() openItem {
-	s.fsize--
-	if !s.sharded {
-		return s.popOpen()
-	}
-	bestShard := -1
-	var bestItem shardItem
-	for si := range s.shards {
-		sh := s.shards[si]
-		if len(sh) == 0 {
-			continue
-		}
-		if bestShard < 0 || shardLess(sh[0], bestItem) {
-			bestShard, bestItem = si, sh[0]
-		}
-	}
-	s.popShard(bestShard)
-	return openItem{f: bestItem.f, idx: bestItem.idx}
-}
-
-// shardFrontier flips the frontier from one global heap to per-stage
-// shards: one (f, seq)-ordered heap per node level. Blow-up searches push
-// and pop against heaps a stage-fraction of the global frontier's size (and
-// sift correspondingly shallower); the cross-shard merge is a scan over at
-// most GroupSize heads. Redistribution preserves the heap array order, so
-// the switch is deterministic for a given input.
-func (s *Searcher) shardFrontier(m int) {
-	if cap(s.shards) < m {
-		s.shards = make([][]shardItem, m)
-	}
-	s.shards = s.shards[:m]
-	for i := range s.shards {
-		s.shards[i] = s.shards[i][:0]
-	}
-	s.sharded = true
-	s.shardSeq = 0
-	for _, it := range s.open {
-		lvl := int(s.arena[it.idx].level) + 1
-		s.pushShard(lvl, shardItem{f: it.f, seq: s.shardSeq, idx: it.idx})
-		s.shardSeq++
-	}
-	s.open = s.open[:0]
-}
-
-// pushOpen and popOpen maintain the single-heap frontier as a binary
-// min-heap on f with the exact sift order of container/heap, so the
-// expansion sequence — and with it every tie-dependent search outcome — is
-// identical to the boxed *node heap this replaced.
+// pushOpen and popOpen maintain the frontier as a binary min-heap on f
+// with the exact sift order of container/heap, so the expansion sequence —
+// and with it every tie-dependent search outcome — is identical to the
+// boxed *node heap this replaced.
 func (s *Searcher) pushOpen(f units.Money, idx int32) {
 	h := append(s.open, openItem{f: f, idx: idx})
 	j := len(h) - 1
@@ -620,43 +520,6 @@ func (s *Searcher) popOpen() openItem {
 	it := h[n]
 	s.open = h[:n]
 	return it
-}
-
-func (s *Searcher) pushShard(lvl int, it shardItem) {
-	h := append(s.shards[lvl], it)
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !shardLess(h[j], h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-	s.shards[lvl] = h
-}
-
-func (s *Searcher) popShard(lvl int) {
-	h := s.shards[lvl]
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && shardLess(h[j2], h[j1]) {
-			j = j2
-		}
-		if !shardLess(h[j], h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	s.shards[lvl] = h[:n]
 }
 
 // buildPath materializes a completed path by walking parent links through
@@ -780,9 +643,9 @@ func listBounds(list []profile.Estimate) (minTime time.Duration, minCost units.M
 // first (the paper's ranking), then time, then the per-stage configurations
 // lexicographically. Breaking cost ties by content instead of arrival order
 // makes the kept top-K a pure function of the candidate set — the property
-// that lets the sharded frontier, the level-wise sweep and the exhaustive
-// oracle, which generate candidates in different orders, return
-// byte-identical results.
+// that lets the A* search, the level-wise sweep and the exhaustive oracle,
+// which generate candidates in different orders, return byte-identical
+// results.
 func pathLess(a, b *Path) bool {
 	if a.Cost != b.Cost {
 		return a.Cost < b.Cost

@@ -246,14 +246,12 @@ func TestPathConfigs(t *testing.T) {
 	}
 }
 
+// TestShardedFrontierMatchesLevelwise checks a search whose arena grows
+// past two thousand nodes against the independently written level-wise
+// engine. Under pathLess's total order the kept top-K is a pure function of
+// the candidate set, so both agree byte for byte. The name dates from the
+// deleted per-stage sharded frontier, which this input once switched on.
 func TestShardedFrontierMatchesLevelwise(t *testing.T) {
-	// Mid-search the frontier flips from one global heap to per-stage
-	// shards once the arena crosses shardThreshold (lowered here so a
-	// tractable input exercises the flip). Under pathLess's total order
-	// the kept top-K is a pure function of the candidate set, so the
-	// sharded search must agree byte for byte with both the unsharded
-	// search and the independently-written level-wise engine.
-	defer func(old int) { shardThreshold = old }(shardThreshold)
 	o := testOracle()
 	tables := tablesFor(o, profile.SuperResolution, profile.Segmentation, profile.Classification)
 	gslo := time.Duration(0)
@@ -262,28 +260,17 @@ func TestShardedFrontierMatchesLevelwise(t *testing.T) {
 	}
 	in := SearchInput{Tables: tables, GSLO: 3 * gslo / 2, K: 5, Hop: 2 * time.Millisecond}
 
-	shardThreshold = 1 << 30 // effectively off
-	plain := NewSearcher()
-	unsharded := plain.Search(in)
-	if plain.sharded {
-		t.Fatal("unsharded reference search sharded anyway")
-	}
-
-	shardThreshold = 2048
 	s := NewSearcher()
 	got := s.Search(in)
-	if !s.sharded {
-		t.Fatalf("search stayed unsharded (arena %d); pick a larger input", len(s.arena))
-	}
-	if !reflect.DeepEqual(got.Paths, unsharded.Paths) || got.Feasible != unsharded.Feasible {
-		t.Errorf("sharded search disagrees with the unsharded search")
+	if len(s.arena) <= 2048 {
+		t.Fatalf("arena %d: pick a larger input", len(s.arena))
 	}
 	want := SearchLevelwise(in)
 	if got.Feasible != want.Feasible {
 		t.Fatalf("feasible %v vs levelwise %v", got.Feasible, want.Feasible)
 	}
 	if !reflect.DeepEqual(got.Paths, want.Paths) {
-		t.Errorf("sharded search disagrees with the level-wise engine")
+		t.Errorf("search disagrees with the level-wise engine")
 	}
 }
 

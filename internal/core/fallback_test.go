@@ -118,21 +118,15 @@ func degenerateLadder(t *testing.T, s *Searcher, desc string, in SearchInput, gs
 	}
 }
 
-// TestDegenerateShardRetainResume is the degenerate-shard case of the
-// sharded frontier: shard mode is forced (lowered shardThreshold) on an
-// input where a stage's constraints admit nothing, so its list is
-// overConstrainedFallback's single config and that stage's sub-frontier
-// drains immediately and stays empty while the other shards carry the whole
-// search. The input is searched down a descending GSLO ladder on one reused
-// Searcher. The name dates from the retained-search resume tier this ladder
-// once went through; each rung is now the cold Search that replaced it.
+// TestDegenerateShardRetainResume searches an input where a stage's
+// constraints admit nothing, so its list is overConstrainedFallback's single
+// config, down a descending GSLO ladder on one reused Searcher. The name
+// dates from two deleted layers: the per-stage sharded frontier, where that
+// stage's sub-frontier stayed empty, and the retained-search resume tier
+// this ladder once went through. Each rung is now a cold Search over the
+// single heap.
 func TestDegenerateShardRetainResume(t *testing.T) {
-	defer func(old int) { shardThreshold = old }(shardThreshold)
-	// Low enough that even a blade-pruned arena (the cost blade engages
-	// within a handful of expansions at a loose target) crosses it.
-	shardThreshold = 32
-
-	o := testOracle() // 256-config space: enough arena to cross the threshold
+	o := testOracle() // 256-config space
 	onlyBatch4 := func(c profile.Config) bool { return c.Batch == 4 }
 	tables := tablesFor(o, profile.SuperResolution, profile.Segmentation,
 		profile.Classification, profile.Deblur)
@@ -143,10 +137,6 @@ func TestDegenerateShardRetainResume(t *testing.T) {
 
 	s := NewSearcher()
 	comparePaths(t, "batch4 at 4s", s.Search(base), BruteForceSearch(base))
-	if !s.sharded {
-		t.Fatalf("frontier never sharded (arena %d ≤ threshold %d); the degenerate case needs shard mode",
-			len(s.arena), shardThreshold)
-	}
 	degenerateLadder(t, s, "batch4", base, []time.Duration{
 		3 * time.Second, 2 * time.Second, 1500 * time.Millisecond,
 		time.Second, 700 * time.Millisecond, 300 * time.Millisecond,
@@ -154,15 +144,11 @@ func TestDegenerateShardRetainResume(t *testing.T) {
 }
 
 // TestDegenerateShardResumeRandomized sweeps randomized descending GSLO
-// ladders with the shard threshold low enough that even SmallSpace
-// searches run sharded, over filters that leave stages empty (fallback
-// lists), nearly empty, or untouched. Every rung of every ladder, searched
-// on one reused Searcher, must match the oracle. As above, the name dates
-// from the deleted resume tier.
+// ladders over filters that leave stages empty (fallback lists), nearly
+// empty, or untouched. Every rung of every ladder, searched on one reused
+// Searcher, must match the oracle. As above, the name dates from the
+// deleted sharded frontier and resume tier.
 func TestDegenerateShardResumeRandomized(t *testing.T) {
-	defer func(old int) { shardThreshold = old }(shardThreshold)
-	shardThreshold = 8
-
 	o := smallOracle()
 	names := []string{profile.SuperResolution, profile.Segmentation, profile.Deblur,
 		profile.Classification, profile.BackgroundRemoval, profile.DepthRecognition}

@@ -10,11 +10,10 @@ import (
 // planetRunner builds a reproducible runner for miniature planet grids:
 // wall readings are zeroed and overhead is not measured, so the rendered
 // table is a pure function of the seed.
-func planetRunner(seed uint64, parallel, cellShards int) *Runner {
+func planetRunner(seed uint64, parallel int) *Runner {
 	r := NewRunner(seed, 1)
 	r.Overhead = sched.OverheadNone
 	r.Parallel = parallel
-	r.CellShards = cellShards
 	r.PlanCache = true
 	r.Wall.Disable()
 	return r
@@ -37,7 +36,7 @@ func renderPlanet(t *testing.T, r *Runner, spec PlanetSpec) string {
 var miniPlanet = PlanetSpec{Nodes: 128, LoadFactor: 2, Requests: 3000}
 
 func TestPlanetScenarioSmoke(t *testing.T) {
-	r := planetRunner(42, 1, 1)
+	r := planetRunner(42, 1)
 	out := renderPlanet(t, r, miniPlanet)
 	for _, shape := range []string{"diurnal", "burst", "multitenant"} {
 		if !strings.Contains(out, shape) {
@@ -52,31 +51,30 @@ func TestPlanetScenarioSmoke(t *testing.T) {
 func TestPlanetScenarioSingleShape(t *testing.T) {
 	spec := miniPlanet
 	spec.Arrival = "burst"
-	out := renderPlanet(t, planetRunner(42, 1, 1), spec)
+	out := renderPlanet(t, planetRunner(42, 1), spec)
 	if !strings.Contains(out, "burst") || strings.Contains(out, "diurnal") {
 		t.Errorf("-arrival burst should run exactly the burst cell:\n%s", out)
 	}
-	if _, err := PlanetScenario(planetRunner(42, 1, 1), PlanetSpec{Arrival: "sawtooth", Nodes: 16, Requests: 100}); err == nil {
+	if _, err := PlanetScenario(planetRunner(42, 1), PlanetSpec{Arrival: "sawtooth", Nodes: 16, Requests: 100}); err == nil {
 		t.Errorf("unknown arrival shape accepted")
 	}
 }
 
 // TestPlanetDeterminism extends the repo's reproducibility contract to the
 // streaming tier: the grid's rendered table is byte-identical run-to-run
-// and independent of -parallel and -cellshards at a fixed seed.
+// and independent of -parallel at a fixed seed.
 func TestPlanetDeterminism(t *testing.T) {
-	base := renderPlanet(t, planetRunner(42, 1, 1), miniPlanet)
+	base := renderPlanet(t, planetRunner(42, 1), miniPlanet)
 	for name, r := range map[string]*Runner{
-		"rerun":        planetRunner(42, 1, 1),
-		"parallel 4":   planetRunner(42, 4, 1),
-		"cellshards 4": planetRunner(42, 1, 4),
+		"rerun":      planetRunner(42, 1),
+		"parallel 4": planetRunner(42, 4),
 	} {
 		if out := renderPlanet(t, r, miniPlanet); out != base {
 			t.Errorf("%s output differs from baseline:\n--- baseline ---\n%s\n--- %s ---\n%s",
 				name, base, name, out)
 		}
 	}
-	if other := renderPlanet(t, planetRunner(43, 1, 1), miniPlanet); other == base {
+	if other := renderPlanet(t, planetRunner(43, 1), miniPlanet); other == base {
 		t.Errorf("different seeds produced identical planet tables")
 	}
 }
@@ -86,7 +84,7 @@ func TestPlanetDeterminism(t *testing.T) {
 // see hits from the second cell on (same apps, same SLO).
 func TestPlanetSharedMemos(t *testing.T) {
 	memos := newPlanetMemos()
-	r := planetRunner(42, 1, 1)
+	r := planetRunner(42, 1)
 	spec := miniPlanet
 	if spec.Nodes <= 0 {
 		t.Fatal("miniPlanet must pin Nodes")

@@ -76,10 +76,9 @@ type Runner struct {
 	// (scale table, §5.3 search times). Disable it and those cells read
 	// exactly zero, making full output files byte-comparable across runs.
 	Wall metrics.Wall
-	// CellShards is each cell's within-cell planning parallelism: the
-	// controller pre-plans ready queues over this many shards per pass
-	// (see controller.Config.CellShards). 0 or 1 is fully sequential;
-	// results are byte-identical either way.
+	// CellShards is ignored: each cell plans on the goroutine that runs it.
+	//
+	// Deprecated: read only by bench/cmd/esgperf.
 	CellShards int
 	// Log receives progress lines (nil for silence).
 	Log io.Writer
@@ -164,7 +163,6 @@ func (r *Runner) config(level workload.Level, slo workflow.SLOLevel) controller.
 		Seed:          r.Seed,
 		PlanCache:     r.PlanCache,
 		PlanCacheSize: r.PlanCacheSize,
-		CellShards:    r.CellShards,
 	}
 	if r.Scale < 1 {
 		tr := r.Trace(level)

@@ -137,19 +137,15 @@ func TestNewSchedulersInXferGrid(t *testing.T) {
 // run to run and across the parallel runner — the byte-identity contract
 // extends to the new cells.
 func TestSchedulerOverrideDeterminism(t *testing.T) {
-	run := func(parallel, shards int) string {
+	run := func(parallel int) string {
 		r := miniRunner(42)
 		r.Parallel = parallel
-		r.CellShards = shards
 		spec := ScaleSpec{Nodes: 64, LoadFactor: 100, Requests: 400, Schedulers: newScheds}
 		tbl, err := ScaleScenario(r, spec)
 		return renderTable(t, tbl, err)
 	}
-	base := run(1, 1)
-	if par := run(4, 1); par != base {
+	base := run(1)
+	if par := run(4); par != base {
 		t.Errorf("parallel run differs:\n--- sequential ---\n%s\n--- parallel ---\n%s", base, par)
-	}
-	if sharded := run(1, 4); sharded != base {
-		t.Errorf("sharded run differs:\n--- sequential ---\n%s\n--- sharded ---\n%s", base, sharded)
 	}
 }

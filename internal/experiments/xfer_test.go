@@ -11,12 +11,11 @@ import (
 // miniXferScale runs a small transfer-enabled scale grid and returns the
 // rendered table plus its rows. Wall readings are disabled so the render is
 // reproducible byte for byte.
-func miniXferScale(t *testing.T, seed uint64, parallel, shards int) (*Table, string) {
+func miniXferScale(t *testing.T, seed uint64, parallel int) (*Table, string) {
 	t.Helper()
 	r := NewRunner(seed, 1)
 	r.Overhead = sched.OverheadNone
 	r.Parallel = parallel
-	r.CellShards = shards
 	r.Wall.Disable()
 	spec := ScaleSpec{Nodes: 64, LoadFactor: 100, Requests: 400,
 		Schedulers: []string{ESG, INFless},
@@ -32,18 +31,14 @@ func miniXferScale(t *testing.T, seed uint64, parallel, shards int) (*Table, str
 
 // TestXferDeterminism extends the lockstep contract to the data-movement
 // model: transfer-enabled artifacts are byte-identical across the worker
-// pool and the within-cell planning shards, and reproducible run to run.
+// pool and reproducible run to run.
 func TestXferDeterminism(t *testing.T) {
-	_, seq := miniXferScale(t, 29, 1, 1)
-	_, par := miniXferScale(t, 29, 4, 1)
+	_, seq := miniXferScale(t, 29, 1)
+	_, par := miniXferScale(t, 29, 4)
 	if seq != par {
 		t.Errorf("parallel xfer output differs from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
-	_, sharded := miniXferScale(t, 29, 1, 4)
-	if seq != sharded {
-		t.Errorf("sharded xfer output differs from sequential:\n--- sequential ---\n%s\n--- sharded ---\n%s", seq, sharded)
-	}
-	_, again := miniXferScale(t, 29, 4, 4)
+	_, again := miniXferScale(t, 29, 4)
 	if seq != again {
 		t.Errorf("repeated xfer run with one seed differs")
 	}
@@ -53,7 +48,7 @@ func TestXferDeterminism(t *testing.T) {
 // transfers charged, ESG's locality-aware dispatch must move fewer bytes
 // across servers than INFless's fragmentation-first placement.
 func TestXferLocalityShift(t *testing.T) {
-	tbl, _ := miniXferScale(t, 29, 1, 1)
+	tbl, _ := miniXferScale(t, 29, 1)
 	crossCol := -1
 	for i, c := range tbl.Columns {
 		if c == "Cross-MB" {

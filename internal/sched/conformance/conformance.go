@@ -2,8 +2,8 @@
 // interface: one reusable property suite every scheduler — ESG, its
 // ablations and all baselines — must pass. The properties are the
 // invariants the rest of the system silently relies on (the controller's
-// dispatch loop, the sharded pre-planner, the plan memos and the fault
-// engine), extracted from the per-scheduler tests that grew around them:
+// dispatch loop, the plan memos and the fault engine), extracted from the
+// per-scheduler tests that grew around them:
 //
 //   - Plan admissibility: every candidate is a valid configuration whose
 //     batch respects the queue length and the profiled space's per-
@@ -13,10 +13,11 @@
 //     lists over identical queue coordinates, and repeated calls against
 //     an unchanged queue stay stable (the byte-identity contract's
 //     scheduler half);
-//   - concurrent-plan cleanliness: schedulers marking themselves
-//     sched.ConcurrentPlanner produce, under concurrent Plan calls across
-//     queues, exactly the candidates a fresh sequential instance produces
-//     (run under -race, this is also the data-race certificate);
+//   - parallel-instance cleanliness: fresh instances planning at once,
+//     each on its own environment as the -parallel worker pool runs one
+//     scheduler per cell, produce exactly a sequential instance's
+//     candidates (run under -race, this is also the data-race
+//     certificate for state the instances share);
 //   - memo equivalence: for baselines.MemoUser schedulers, disabling the
 //     plan memo changes no candidate — memoization skips work, never
 //     answers differently;
@@ -58,7 +59,7 @@ func Run(t *testing.T, newScheduler Factory) {
 	t.Helper()
 	t.Run("PlanAdmissible", func(t *testing.T) { planAdmissible(t, newScheduler) })
 	t.Run("PlanDeterministic", func(t *testing.T) { planDeterministic(t, newScheduler) })
-	t.Run("ConcurrentPlanRaceClean", func(t *testing.T) { concurrentPlanRaceClean(t, newScheduler) })
+	t.Run("ConcurrentPlanRaceClean", func(t *testing.T) { parallelInstancesRaceClean(t, newScheduler) })
 	t.Run("MemoEquivalence", func(t *testing.T) { memoEquivalence(t, newScheduler) })
 	t.Run("PlaceSkipsCrashed", func(t *testing.T) { placeSkipsCrashed(t, newScheduler) })
 	t.Run("PlaceAllDown", func(t *testing.T) { placeAllDown(t, newScheduler) })
@@ -194,52 +195,46 @@ func planDeterministic(t *testing.T, newScheduler Factory) {
 	})
 }
 
-func concurrentPlanRaceClean(t *testing.T, newScheduler Factory) {
-	probe, err := newScheduler()
-	if err != nil {
-		t.Fatalf("factory: %v", err)
-	}
-	if _, ok := probe.(sched.ConcurrentPlanner); !ok {
-		t.Skipf("%s does not implement sched.ConcurrentPlanner", probe.Name())
-	}
-	env, qs := newEnv(t)
-	s, err := newScheduler()
-	if err != nil {
-		t.Fatalf("factory: %v", err)
+// parallelInstancesRaceClean runs two fresh instances at once, each over
+// its own environment, through two sweeps of every queue coordinate (the
+// first fills memos and lazy builds, the second reads them), and compares
+// every plan with a sequential reference instance's.
+func parallelInstancesRaceClean(t *testing.T, newScheduler Factory) {
+	sweep := func(s sched.Scheduler, env *sched.Env, qs *queue.Set) []planKey {
+		var keys []planKey
+		for round := 0; round < 2; round++ {
+			forEachQueue(env, qs, func(q *queue.AFW, _, _, _ int) {
+				keys = append(keys, keyOf(s.Plan(env, q, 0)))
+			})
+		}
+		return keys
 	}
 	ref, err := newScheduler()
 	if err != nil {
 		t.Fatalf("factory: %v", err)
 	}
+	env, qs := newEnv(t)
+	want := sweep(ref, env, qs)
 
-	type coord struct {
-		q             *queue.AFW
-		appIdx, stage int
-	}
-	var coords []coord
-	forEachQueue(env, qs, func(q *queue.AFW, appIdx, stage, n int) {
-		coords = append(coords, coord{q, appIdx, stage})
-	})
-
-	// Two rounds: the first races cold paths (memo fills, lazy builds),
-	// the second races the hit paths they feed.
-	for round := 0; round < 2; round++ {
-		got := make([]planKey, len(coords))
-		var wg sync.WaitGroup
-		for i, c := range coords {
-			wg.Add(1)
-			go func(i int, c coord) {
-				defer wg.Done()
-				got[i] = keyOf(s.Plan(env, c.q, 0))
-			}(i, c)
+	got := make([][]planKey, 2)
+	var wg sync.WaitGroup
+	for w := range got {
+		s, err := newScheduler()
+		if err != nil {
+			t.Fatalf("factory: %v", err)
 		}
-		wg.Wait()
-		for i, c := range coords {
-			want := keyOf(ref.Plan(env, c.q, 0))
-			if !reflect.DeepEqual(got[i], want) {
-				t.Fatalf("%s round %d app %d stage %d: concurrent plan differs from sequential reference:\n%+v\n%+v",
-					s.Name(), round, c.appIdx, c.stage, got[i], want)
-			}
+		env, qs := newEnv(t)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = sweep(s, env, qs)
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if !reflect.DeepEqual(got[w], want) {
+			t.Fatalf("%s: instance %d planning beside another differs from the sequential reference",
+				ref.Name(), w)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 // The cross-scheduler conformance matrix: every scheduler the experiments
 // registry can build — ESG, its two ablations, and the six baselines —
-// must pass the full property suite. Run under -race this also certifies
-// the ConcurrentPlanner implementations.
+// must pass the full property suite.
 package conformance_test
 
 import (

@@ -126,27 +126,12 @@ type Scheduler interface {
 // without extra admissibility constraints.
 func DefaultMinConfig() profile.Config { return profile.MinConfig }
 
-// ConcurrentPlanner marks a Scheduler whose Plan method may be called from
-// several goroutines at once. The controller's sharded run-loop uses it to
-// pre-plan independent queues in parallel; schedulers without the marker
-// always plan sequentially, so opting in is purely an optimization.
+// ConcurrentPlanner is an inert marker.
 //
-// An implementation promises two things:
-//
-//   - Plan is safe under concurrent invocation (internal memo layers are
-//     synchronized), and
-//   - Plan's candidate list is a deterministic function of the queue's
-//     (AppIndex, Stage, Len(), head job) and now — never of fleet state or
-//     of which other Plan calls ran before or beside it. Memoization may
-//     shift which internal tier answers (and with it the cache counters),
-//     but never the candidates.
-//
-// The second property is what lets the controller consume speculative
-// plans in the sequential pass order and still produce byte-identical
-// artifacts: a pre-computed plan is interchangeable with the inline call
-// it replaces whenever the queue's length and head are unchanged.
+// Deprecated: no scheduler implements it and the controller does not read
+// it; each cell plans on one goroutine. It is kept only because
+// bench/cmd/esgperf names it.
 type ConcurrentPlanner interface {
-	// ConcurrentPlanOK is a marker; it performs no work.
 	ConcurrentPlanOK()
 }
 

@@ -21,13 +21,6 @@ type Engine struct {
 	// Transfers counts data-movement events scheduled via Transfer
 	// (diagnostics; zero whenever the transfer model is disabled).
 	Transfers uint64
-
-	// frozen, when non-empty, names a parallel window during which no
-	// event may be scheduled (see Freeze). The engine itself is strictly
-	// single-threaded; the guard turns an accidental At/After from inside
-	// such a window — a data race on the heap — into a deterministic
-	// panic.
-	frozen string
 }
 
 // New returns an engine at time zero.
@@ -36,24 +29,9 @@ func New() *Engine { return &Engine{} }
 // Now returns the current simulated time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Freeze opens a window named label during which scheduling an event
-// panics. The controller brackets its parallel plan speculation with
-// Freeze/Thaw: planners must not reach the (single-threaded) event heap,
-// and the guard makes a violation fail loudly instead of racing.
-func (e *Engine) Freeze(label string) { e.frozen = label }
-
-// Thaw closes the window opened by Freeze.
-func (e *Engine) Thaw() { e.frozen = "" }
-
 // At schedules fn to run at absolute simulated time t. Events scheduled in
 // the past run at the current time (never before it).
 func (e *Engine) At(t time.Duration, fn func()) {
-	if e.frozen != "" {
-		// Determinism guard, not recoverable: an event scheduled from a
-		// parallel planning window would race the event order. Crashing at
-		// the schedule site names the offending window.
-		panic("simulate: event scheduled during frozen window: " + e.frozen)
-	}
 	if t < e.now {
 		t = e.now
 	}
@@ -78,9 +56,6 @@ func (e *Engine) ReserveSeq(n uint64) uint64 {
 // (time, seq), so when the event is inserted is irrelevant — only the
 // reserved slot decides how it ties.
 func (e *Engine) AtSeq(t time.Duration, seq uint64, fn func()) {
-	if e.frozen != "" {
-		panic("simulate: event scheduled during frozen window: " + e.frozen)
-	}
 	if t < e.now {
 		t = e.now
 	}
