@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/esg-sched/esg/internal/baselines"
 	"github.com/esg-sched/esg/internal/bo"
 	"github.com/esg-sched/esg/internal/cluster"
 	"github.com/esg-sched/esg/internal/profile"
@@ -46,7 +47,7 @@ type Scheduler struct {
 	// cell of a grid re-derives the same result). Nil trains locally.
 	Memo *TrainingMemo
 
-	plans map[int][]profile.Config // app index -> per-stage configs
+	plans map[int]baselines.Ladder // app index -> trained per-stage configs
 }
 
 // TrainingMemo shares Aquatope's offline BO training across schedulers.
@@ -112,7 +113,7 @@ func New(seed uint64) *Scheduler {
 		Rounds:    DefaultRounds,
 		PerRound:  DefaultPerRound,
 		Seed:      seed,
-		plans:     make(map[int][]profile.Config),
+		plans:     make(map[int]baselines.Ladder),
 	}
 }
 
@@ -124,19 +125,12 @@ func (s *Scheduler) Name() string { return "Aquatope" }
 // queue. Offline training makes runtime overhead negligible (§5.2), so no
 // overhead is charged.
 func (s *Scheduler) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.Plan {
-	cfgs, ok := s.plans[q.AppIndex]
+	ladder, ok := s.plans[q.AppIndex]
 	if !ok {
-		cfgs = s.trainCached(env, q.AppIndex)
-		s.plans[q.AppIndex] = cfgs
+		ladder = baselines.NewLadder(s.trainCached(env, q.AppIndex))
+		s.plans[q.AppIndex] = ladder
 	}
-	plan := sched.Plan{PrePlanned: true}
-	cfg := cfgs[q.Stage]
-	if cfg.Batch > q.Len() {
-		cfg.Batch = q.Len()
-		plan.ConfigMiss = true
-	}
-	plan.Candidates = []profile.Config{cfg}
-	return plan
+	return ladder.Plan(q.Stage, q.Len())
 }
 
 // trainCached trains through the shared memo when one is attached.

@@ -12,6 +12,7 @@ import (
 
 	"github.com/esg-sched/esg/internal/baselines/aquatope"
 	"github.com/esg-sched/esg/internal/baselines/fastgshare"
+	"github.com/esg-sched/esg/internal/baselines/gswarm"
 	"github.com/esg-sched/esg/internal/baselines/infless"
 	"github.com/esg-sched/esg/internal/baselines/orion"
 	"github.com/esg-sched/esg/internal/cluster"
@@ -253,6 +254,27 @@ func TestAquatopeMissOnShortQueue(t *testing.T) {
 	}
 	if p.ConfigMiss != (preset > 1) {
 		t.Errorf("ConfigMiss = %v with trained batch %d for a 1-job queue", p.ConfigMiss, preset)
+	}
+}
+
+// TestPrePlannedPlanAllocationFree pins the pre-planned schedulers' Plan at
+// zero allocations once the app is planned, on a full queue and on a
+// one-job queue that clamps the preset (a configuration miss).
+func TestPrePlannedPlanAllocationFree(t *testing.T) {
+	e, qs := env(t, workflow.Moderate)
+	aq := aquatope.New(7)
+	aq.Bootstrap, aq.Rounds, aq.PerRound = 20, 5, 2
+	full := qs.Get(3, 0)
+	fill(full, e.Apps[3], 3, e.Oracle.Space.MaxBatch(), e.SLOs[3])
+	short := queue.NewSet(e.Apps).Get(3, 0)
+	fill(short, e.Apps[3], 3, 1, e.SLOs[3])
+	for _, s := range []sched.Scheduler{orion.New(), aq, gswarm.New()} {
+		for _, q := range []*queue.AFW{full, short} {
+			s.Plan(e, q, 0)
+			if allocs := testing.AllocsPerRun(10, func() { s.Plan(e, q, 0) }); allocs != 0 {
+				t.Errorf("%s Plan on a %d-job queue allocates %.0f times", s.Name(), q.Len(), allocs)
+			}
+		}
 	}
 }
 

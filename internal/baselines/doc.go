@@ -2,7 +2,9 @@
 // comparison schedulers (§4.2), whose implementations live in the
 // subpackages infless, fastgshare, orion and aquatope. The package itself
 // provides the baseline plan-memo layer: the per-(app, stage, quantized
-// batch bound) candidate-ranking cache INFless and FaST-GShare share.
+// batch bound) candidate-ranking cache INFless and FaST-GShare share. It
+// also provides Ladder, the allocation-free Plan step Orion, Aquatope and
+// GSwarm share for their pre-planned configurations.
 //
 // Invariants (the PR 3 plan-cache contract, applied to the baselines):
 //

@@ -69,7 +69,7 @@ type Scheduler struct {
 // failover path walks.
 type table struct {
 	pin      [][]int            // [app][stage] -> invoker ID
-	cfgs     [][]profile.Config // [app][stage] -> static configuration
+	ladders  []baselines.Ladder // [app] -> static per-stage configurations
 	servers  [][]int            // server -> member invoker IDs
 	serverOf []int              // app -> server index
 }
@@ -128,7 +128,7 @@ func (s *Scheduler) build(env *sched.Env) *table {
 	nApps := len(env.Apps)
 	t := &table{
 		pin:      make([][]int, nApps),
-		cfgs:     make([][]profile.Config, nApps),
+		ladders:  make([]baselines.Ladder, nApps),
 		serverOf: make([]int, nApps),
 	}
 
@@ -194,7 +194,7 @@ func (s *Scheduler) build(env *sched.Env) *table {
 		}
 		t.serverOf[a] = best
 		t.pin[a] = make([]int, app.Len())
-		t.cfgs[a] = make([]profile.Config, app.Len())
+		cfgs := make([]profile.Config, app.Len())
 		budgets := s.splitFor(env, a)
 		for k := 0; k < app.Len(); k++ {
 			fn := app.Stage(k).Function
@@ -206,8 +206,9 @@ func (s *Scheduler) build(env *sched.Env) *table {
 			t.pin[a][k] = id
 			invLoad[id] += work[a][k]
 			srvLoad[best] += work[a][k]
-			t.cfgs[a][k] = staticConfig(env, a, k, budgets[k])
+			cfgs[k] = staticConfig(env, a, k, budgets[k])
 		}
+		t.ladders[a] = baselines.NewLadder(cfgs)
 	}
 	return t
 }
@@ -275,13 +276,7 @@ func cheaper(a, b profile.Estimate) bool {
 func (s *Scheduler) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.Plan {
 	sw := sched.StartStopwatch(env)
 	t := s.tableFor(env)
-	plan := sched.Plan{PrePlanned: true}
-	cfg := t.cfgs[q.AppIndex][q.Stage]
-	if cfg.Batch > q.Len() {
-		cfg.Batch = q.Len()
-		plan.ConfigMiss = true
-	}
-	plan.Candidates = []profile.Config{cfg}
+	plan := t.ladders[q.AppIndex].Plan(q.Stage, q.Len())
 	plan.Overhead = sw.Elapsed()
 	return plan
 }

@@ -12,15 +12,21 @@
 // deterministically as expansions-per-millisecond so Fig. 9's trade-off
 // (quality vs charged scheduling latency) reproduces identically across
 // hosts. Because the search does not depend on run-time queue state, its
-// result is cached per application, but the search overhead is charged on
-// every workflow's first-stage dispatch — exactly the per-workflow search
-// cost Fig. 9 varies.
+// result is cached per application.
+//
+// The search overhead is charged once per workflow instance, on the first
+// Plan call whose queue head is that instance — not necessarily on the
+// instance's first-stage dispatch. When that attempt defers or blocks, the
+// later dispatch that does run carries no overhead; and a stage-0 batch
+// member that was not the queue head is charged later, on the first plan
+// of a later-stage queue it heads.
 package orion
 
 import (
-	"container/heap"
+	"math/bits"
 	"time"
 
+	"github.com/esg-sched/esg/internal/baselines"
 	"github.com/esg-sched/esg/internal/cluster"
 	"github.com/esg-sched/esg/internal/profile"
 	"github.com/esg-sched/esg/internal/queue"
@@ -46,13 +52,16 @@ type Scheduler struct {
 
 	// appPlans caches the (deterministic) per-app search outcome.
 	appPlans map[int]*appPlan
-	// planned marks instances whose first-stage dispatch already charged
-	// the search overhead.
+	// planned marks instances that already headed a planned queue and so
+	// were charged the search overhead.
 	planned map[int]bool
+	// arena is the search's storage, reused by every search of this
+	// scheduler.
+	arena arena
 }
 
 type appPlan struct {
-	cfgs     []profile.Config
+	ladder   baselines.Ladder
 	overhead time.Duration
 }
 
@@ -70,10 +79,10 @@ func New() *Scheduler {
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return "Orion" }
 
-// Plan implements sched.Scheduler. The first dispatch of a workflow
-// instance charges the best-first search's overhead; every stage then uses
-// the pre-planned configuration, clamped (and recorded as a miss, Table 4)
-// when its preset batch exceeds the queue.
+// Plan implements sched.Scheduler. The first plan whose queue head is a
+// given workflow instance charges the best-first search's overhead; every
+// stage then uses the pre-planned configuration, clamped (and recorded as a
+// miss, Table 4) when its preset batch exceeds the queue.
 func (s *Scheduler) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.Plan {
 	ap, ok := s.appPlans[q.AppIndex]
 	if !ok {
@@ -81,7 +90,7 @@ func (s *Scheduler) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.
 		s.appPlans[q.AppIndex] = ap
 	}
 
-	plan := sched.Plan{PrePlanned: true}
+	plan := ap.ladder.Plan(q.Stage, q.Len())
 	inst := q.Oldest().Instance
 	if !s.planned[inst.ID] {
 		s.planned[inst.ID] = true
@@ -89,13 +98,6 @@ func (s *Scheduler) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.
 			plan.Overhead = ap.overhead
 		}
 	}
-
-	cfg := ap.cfgs[q.Stage]
-	if cfg.Batch > q.Len() {
-		cfg.Batch = q.Len()
-		plan.ConfigMiss = true
-	}
-	plan.Candidates = []profile.Config{cfg}
 	return plan
 }
 
@@ -111,30 +113,6 @@ func (s *Scheduler) budgetExpansions() int {
 		b = 1
 	}
 	return b
-}
-
-// state is a joint configuration: per-stage indices into the space's
-// dimension option lists, with incrementally maintained totals.
-type state struct {
-	idx  []int8 // 3 per stage: batch, cpu, gpu option indices
-	cost units.Money
-	p95  time.Duration
-	gap  time.Duration // |p95 − SLO|, the search priority
-}
-
-type stateHeap []*state
-
-func (h stateHeap) Len() int           { return len(h) }
-func (h stateHeap) Less(i, j int) bool { return h[i].gap < h[j].gap }
-func (h stateHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *stateHeap) Push(x any)        { *h = append(*h, x.(*state)) }
-func (h *stateHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return v
 }
 
 // stageLUT holds per-stage P95 time and per-job cost for every point of the
@@ -169,8 +147,224 @@ func buildLUT(env *sched.Env, fn string, p95f float64) *stageLUT {
 	return l
 }
 
+// field is one option index's place in a packed state key.
+type field struct {
+	word  int
+	shift uint
+	mask  uint64
+}
+
+// keyLayout packs a state — per stage, the batch, vCPU and vGPU option
+// indices — into fixed-width bit fields spread over a key of words uint64
+// words. A field is just wide enough for its dimension's largest index and
+// never straddles two words, so incrementing one index adds 1<<shift to one
+// word.
+type keyLayout struct {
+	words  int
+	fields []field // 3 per stage: batch, cpu, gpu
+}
+
+func newKeyLayout(dims [3]int, stages int) keyLayout {
+	l := keyLayout{fields: make([]field, 3*stages)}
+	word, used := 0, uint(0)
+	for pos := range l.fields {
+		width := uint(bits.Len(uint(dims[pos%3] - 1)))
+		if used+width > 64 {
+			word, used = word+1, 0
+		}
+		l.fields[pos] = field{word: word, shift: used, mask: 1<<width - 1}
+		used += width
+	}
+	l.words = word + 1
+	return l
+}
+
+// index returns the option index stored in field pos of key k.
+func (l *keyLayout) index(k []uint64, pos int) int {
+	f := &l.fields[pos]
+	return int(k[f.word] >> f.shift & f.mask)
+}
+
+// configs decodes key k into its per-stage configurations.
+func (l *keyLayout) configs(space profile.Space, k []uint64) []profile.Config {
+	out := make([]profile.Config, len(l.fields)/3)
+	for i := range out {
+		out[i] = profile.Config{
+			Batch: space.Batches[l.index(k, 3*i)],
+			CPU:   space.CPUs[l.index(k, 3*i+1)],
+			GPU:   space.GPUs[l.index(k, 3*i+2)],
+		}
+	}
+	return out
+}
+
+// node is one search state; its key lives in the arena's keys at
+// [id·words, (id+1)·words).
+type node struct {
+	cost units.Money
+	p95  time.Duration
+	gap  time.Duration // |p95 − SLO|, the search priority
+}
+
+// openItem is one frontier entry.
+type openItem struct {
+	gap time.Duration
+	id  int32
+}
+
+// arena holds one search's states by int32 id, their packed keys, the
+// visited set over those keys and the frontier. Its slices grow on demand
+// and keep their storage for the next search.
+type arena struct {
+	words int
+	nodes []node
+	keys  []uint64
+	open  []openItem
+	// slots is an open-addressing (linear probing) hash table of node ids
+	// plus one, zero marking an empty slot. Lookups compare the key words,
+	// so a hash collision costs a probe, never a state.
+	slots []int32
+	shift uint // 64 − log2(len(slots))
+}
+
+const minSlots = 1 << 10
+
+func (a *arena) reset(words int) {
+	a.words = words
+	a.nodes = a.nodes[:0]
+	a.keys = a.keys[:0]
+	a.open = a.open[:0]
+	if a.slots == nil {
+		a.slots = make([]int32, minSlots)
+		a.shift = 64 - uint(bits.TrailingZeros(minSlots))
+	}
+	clear(a.slots)
+}
+
+func (a *arena) key(id int32) []uint64 {
+	i := int(id) * a.words
+	return a.keys[i : i+a.words]
+}
+
+// slot returns the home slot of key k (Fibonacci hashing over its words).
+func (a *arena) slot(k []uint64) int {
+	h := uint64(0)
+	for _, w := range k {
+		h = (h ^ w) * 0x9E3779B97F4A7C15
+	}
+	return int(h >> a.shift)
+}
+
+// add records a state keyed by k unless one is already recorded, returning
+// the new state's id and true, or false for a revisit. The caller appends
+// the new id's node before the next add.
+func (a *arena) add(k []uint64) (int32, bool) {
+	mask := len(a.slots) - 1
+	i := a.slot(k)
+	for ; a.slots[i] != 0; i = (i + 1) & mask {
+		if equalWords(a.key(a.slots[i]-1), k) {
+			return 0, false
+		}
+	}
+	id := int32(len(a.keys) / a.words)
+	a.keys = append(a.keys, k...)
+	a.slots[i] = id + 1
+	if 2*int(id+1) > len(a.slots) {
+		a.grow()
+	}
+	return id, true
+}
+
+// grow doubles the visited table and re-inserts every recorded key.
+func (a *arena) grow() {
+	a.slots = make([]int32, 2*len(a.slots))
+	a.shift--
+	mask := len(a.slots) - 1
+	n := int32(len(a.keys) / a.words)
+	for id := int32(0); id < n; id++ {
+		i := a.slot(a.key(id))
+		for a.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		a.slots[i] = id + 1
+	}
+}
+
+func equalWords(a, b []uint64) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// push and pop keep the frontier as a binary min-heap on gap with the exact
+// sift order of container/heap, which the search was first written on:
+// ties on gap resolve by heap position, so this order is part of the
+// search's result.
+func (a *arena) push(gap time.Duration, id int32) {
+	h := append(a.open, openItem{gap: gap, id: id})
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !(h[j].gap < h[i].gap) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	a.open = h
+}
+
+func (a *arena) pop() int32 {
+	h := a.open
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	// Sift the swapped-in root down over h[:n] (container/heap's down).
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && h[j2].gap < h[j1].gap {
+			j = j2
+		}
+		if !(h[j].gap < h[i].gap) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	a.open = h[:n]
+	return h[n].id
+}
+
+// outcome is what one best-first search found.
+type outcome struct {
+	closest    []profile.Config
+	feasible   []profile.Config // nil when no expanded state met the SLO
+	expansions int
+}
+
 // search runs the anytime best-first search for one application.
 func (s *Scheduler) search(env *sched.Env, appIndex int) *appPlan {
+	o := s.bestFirst(env, appIndex)
+	chosen := o.closest
+	if o.feasible != nil {
+		chosen = o.feasible
+	}
+	return &appPlan{
+		ladder:   baselines.NewLadder(chosen),
+		overhead: s.overheadFor(o.expansions),
+	}
+}
+
+// bestFirst expands states in best-first order on the gap to the SLO until
+// the frontier empties or the expansion budget is spent.
+func (s *Scheduler) bestFirst(env *sched.Env, appIndex int) outcome {
 	app := env.Apps[appIndex]
 	slo := env.SLOs[appIndex]
 	space := env.Oracle.Space
@@ -181,8 +375,16 @@ func (s *Scheduler) search(env *sched.Env, appIndex int) *appPlan {
 	for i := 0; i < m; i++ {
 		luts[i] = buildLUT(env, app.Stage(i).Function, env.Noise.P95Factor())
 	}
+	dims := [3]int{len(space.Batches), len(space.CPUs), len(space.GPUs)}
+	layout := newKeyLayout(dims, m)
+	a := &s.arena
+	a.reset(layout.words)
+	// cur holds the expanded state's key (the arena's keys may move while
+	// its children are added); child holds the candidate child's key.
+	cur := make([]uint64, 2*layout.words)
+	cur, child := cur[:layout.words], cur[layout.words:]
 
-	start := &state{idx: make([]int8, 3*m)}
+	var start node
 	for i := 0; i < m; i++ {
 		t, c := luts[i].at(0, 0, 0)
 		start.p95 += t
@@ -190,60 +392,54 @@ func (s *Scheduler) search(env *sched.Env, appIndex int) *appPlan {
 	}
 	start.p95 += hop
 	start.gap = gapTo(start.p95, slo)
-
-	open := &stateHeap{}
-	heap.Push(open, start)
-	visited := map[string]bool{string(key(start.idx)): true}
+	a.add(cur)
+	a.nodes = append(a.nodes, start)
+	a.push(start.gap, 0)
 
 	budget := s.budgetExpansions()
 	expansions := 0
-	closest := start
-	var bestFeasible *state
-
-	dims := []int{len(space.Batches), len(space.CPUs), len(space.GPUs)}
-	for open.Len() > 0 && expansions < budget {
-		st := heap.Pop(open).(*state)
+	closest, bestFeasible := int32(0), int32(-1)
+	for len(a.open) > 0 && expansions < budget {
+		id := a.pop()
 		expansions++
-		if st.gap < closest.gap {
-			closest = st
+		st := a.nodes[id]
+		if st.gap < a.nodes[closest].gap {
+			closest = id
 		}
-		if st.p95 <= slo && (bestFeasible == nil || st.cost < bestFeasible.cost) {
-			bestFeasible = st
+		if st.p95 <= slo && (bestFeasible < 0 || st.cost < a.nodes[bestFeasible].cost) {
+			bestFeasible = id
 		}
+		copy(cur, a.key(id))
 		for i := 0; i < m; i++ {
-			oldT, oldC := luts[i].at(int(st.idx[3*i]), int(st.idx[3*i+1]), int(st.idx[3*i+2]))
+			idx := [3]int{layout.index(cur, 3*i), layout.index(cur, 3*i+1), layout.index(cur, 3*i+2)}
+			oldT, oldC := luts[i].at(idx[0], idx[1], idx[2])
 			for d := 0; d < 3; d++ {
-				pos := 3*i + d
-				if int(st.idx[pos])+1 >= dims[d] {
+				if idx[d]+1 >= dims[d] {
 					continue
 				}
-				nidx := append([]int8(nil), st.idx...)
-				nidx[pos]++
-				k := string(key(nidx))
-				if visited[k] {
+				f := &layout.fields[3*i+d]
+				copy(child, cur)
+				child[f.word] += 1 << f.shift
+				cid, fresh := a.add(child)
+				if !fresh {
 					continue
 				}
-				visited[k] = true
-				newT, newC := luts[i].at(int(nidx[3*i]), int(nidx[3*i+1]), int(nidx[3*i+2]))
-				ns := &state{
-					idx:  nidx,
-					cost: st.cost - oldC + newC,
-					p95:  st.p95 - oldT + newT,
-				}
+				nidx := idx
+				nidx[d]++
+				newT, newC := luts[i].at(nidx[0], nidx[1], nidx[2])
+				ns := node{cost: st.cost - oldC + newC, p95: st.p95 - oldT + newT}
 				ns.gap = gapTo(ns.p95, slo)
-				heap.Push(open, ns)
+				a.nodes = append(a.nodes, ns)
+				a.push(ns.gap, cid)
 			}
 		}
 	}
 
-	chosen := closest
-	if bestFeasible != nil {
-		chosen = bestFeasible
+	o := outcome{closest: layout.configs(space, a.key(closest)), expansions: expansions}
+	if bestFeasible >= 0 {
+		o.feasible = layout.configs(space, a.key(bestFeasible))
 	}
-	return &appPlan{
-		cfgs:     materialize(space, chosen.idx, m),
-		overhead: s.overheadFor(expansions),
-	}
+	return o
 }
 
 // overheadFor converts consumed expansions into charged scheduling latency.
@@ -259,31 +455,11 @@ func (s *Scheduler) overheadFor(expansions int) time.Duration {
 	return d
 }
 
-func key(idx []int8) []byte {
-	out := make([]byte, len(idx))
-	for i, v := range idx {
-		out[i] = byte(v)
-	}
-	return out
-}
-
 func gapTo(p95, slo time.Duration) time.Duration {
 	if p95 > slo {
 		return p95 - slo
 	}
 	return slo - p95
-}
-
-func materialize(space profile.Space, idx []int8, m int) []profile.Config {
-	out := make([]profile.Config, m)
-	for i := 0; i < m; i++ {
-		out[i] = profile.Config{
-			Batch: space.Batches[idx[3*i]],
-			CPU:   space.CPUs[idx[3*i+1]],
-			GPU:   space.GPUs[idx[3*i+2]],
-		}
-	}
-	return out
 }
 
 // Place implements sched.Scheduler. Per §4.2 the comparison gives Orion the

@@ -62,6 +62,31 @@ func TestPooledSearchAllocsBounded(t *testing.T) {
 	}
 }
 
+// TestBruteForceAllocsBounded pins BruteForceSearch to allocating only the
+// paths that enter its top K. A group-3 input over the 27-config space has
+// 19,683 paths; at an unbounded GSLO every one is feasible, at the
+// moderate one a share is, and the allocation bound is the same for both.
+// Before the pin each feasible path allocated its estimates.
+func TestBruteForceAllocsBounded(t *testing.T) {
+	fns := []string{profile.Deblur, profile.SuperResolution, profile.BackgroundRemoval}
+	tables := tablesFor(smallOracle(), fns...)
+	var moderate time.Duration
+	for _, fn := range fns {
+		moderate += profile.Table3Registry().MustLookup(fn).BaseExec
+	}
+	const bound = 128
+	for _, gslo := range []time.Duration{moderate, time.Hour} {
+		in := SearchInput{Tables: tables, GSLO: gslo, K: DefaultK}
+		if res := BruteForceSearch(in); !res.Feasible || res.Expanded != 27*27*27 {
+			t.Fatalf("gslo %v: feasible %v, expanded %d", gslo, res.Feasible, res.Expanded)
+		}
+		allocs := testing.AllocsPerRun(3, func() { BruteForceSearch(in) })
+		if allocs > bound {
+			t.Errorf("gslo %v: BruteForceSearch allocates %.0f times per call, want <= %d", gslo, allocs, bound)
+		}
+	}
+}
+
 // BenchmarkWarmSearcher measures the steady-state cold search on reused
 // scratch (the number BENCH_2.json records).
 func BenchmarkWarmSearcher(b *testing.B) {

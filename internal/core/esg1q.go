@@ -6,6 +6,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -683,8 +684,14 @@ func (p *pathHeap) full() bool { return len(p.paths) == p.k }
 // always reach the heap and lose (or win) on pathLess's content order.
 func (p *pathHeap) worst() units.Money { return p.paths[len(p.paths)-1].Cost }
 
+// admits reports whether path would enter the kept top K.
+func (p *pathHeap) admits(path *Path) bool {
+	n := len(p.paths)
+	return n < p.k || pathLess(path, &p.paths[n-1])
+}
+
 func (p *pathHeap) add(path Path) {
-	if p.full() && !pathLess(&path, &p.paths[len(p.paths)-1]) {
+	if !p.admits(&path) {
 		return
 	}
 	i := sort.Search(len(p.paths), func(i int) bool { return !pathLess(&p.paths[i], &path) })
@@ -741,16 +748,23 @@ func BruteForceSearch(in SearchInput) SearchResult {
 	best := newPathHeap(k)
 	res := SearchResult{}
 	choice := make([]int, m)
+	// scratch holds a feasible leaf's estimates while the heap decides;
+	// only a path that enters the top K gets its own copy.
+	scratch := make([]profile.Estimate, m)
 	var rec func(j int, t time.Duration, c units.Money)
 	rec = func(j int, t time.Duration, c units.Money) {
 		if j == m {
 			res.Expanded++
-			if t <= in.GSLO {
-				ests := make([]profile.Estimate, m)
-				for i, idx := range choice {
-					ests[i] = lists[i][idx]
-				}
-				best.add(Path{Ests: ests, Time: t, Cost: c})
+			if t > in.GSLO || (best.full() && c > best.worst()) {
+				return
+			}
+			for i, idx := range choice {
+				scratch[i] = lists[i][idx]
+			}
+			path := Path{Ests: scratch, Time: t, Cost: c}
+			if best.admits(&path) {
+				path.Ests = slices.Clone(scratch)
+				best.add(path)
 			}
 			return
 		}

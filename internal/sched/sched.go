@@ -89,6 +89,9 @@ func (e *Env) GroupHop(appIndex int, stages []int) time.Duration {
 // §3.1). The dispatcher tries candidates in order until one fits on an
 // invoker.
 type Plan struct {
+	// Candidates is read-only for every caller: a scheduler may hand out
+	// a list it shares with later plans (baselines.Memo's memoized
+	// rankings, baselines.Ladder's pre-planned rungs).
 	Candidates []profile.Config
 	// ConfigMiss marks a pre-planned configuration whose batch size
 	// exceeded the queue length at schedule time (Table 4); the candidate
