@@ -5,6 +5,9 @@ import (
 	"time"
 
 	"github.com/esg-sched/esg/internal/profile"
+	"github.com/esg-sched/esg/internal/queue"
+	"github.com/esg-sched/esg/internal/sched"
+	"github.com/esg-sched/esg/internal/workflow"
 )
 
 // warmSearchInput is the §5.3-style group-3 search the allocation pin runs:
@@ -83,6 +86,72 @@ func TestBruteForceAllocsBounded(t *testing.T) {
 		allocs := testing.AllocsPerRun(3, func() { BruteForceSearch(in) })
 		if allocs > bound {
 			t.Errorf("gslo %v: BruteForceSearch allocates %.0f times per call, want <= %d", gslo, allocs, bound)
+		}
+	}
+}
+
+// warmPlan returns a cached ESG and a queue it has planned: a Plan at now
+// is an exact cache hit, and one at later an interval hit (a tighter
+// target bucket that the feasibility interval of the first search covers).
+func warmPlan(tb testing.TB) (e *ESG, env *sched.Env, q *queue.AFW, now, later time.Duration) {
+	tb.Helper()
+	env, qs := envFor(tb, workflow.EvaluationApps(), workflow.Relaxed)
+	e = New()
+	e.EnablePlanCache(0, 0)
+	now = 10 * time.Second
+	q = fillQueue(env, qs, 0, 0, 8, now, env.SLOs[0]/10)
+	e.Plan(env, q, now)
+	for dt := time.Millisecond; dt < env.SLOs[0]/2; dt += time.Millisecond {
+		before := e.PlanCacheStats()
+		e.Plan(env, q, now+dt)
+		if after := e.PlanCacheStats(); after.IntervalHits > before.IntervalHits {
+			return e, env, q, now, now + dt
+		}
+	}
+	tb.Fatalf("no later target answered from a feasibility interval")
+	return
+}
+
+// TestESGPlanHitAllocsZero pins the re-planning hot path: a warm ESG
+// answering from its plan cache — an exact hit or an interval hit —
+// allocates nothing. The planning context, the arrival index and the
+// shared candidate list leave Plan only per-call arithmetic and the
+// lookup.
+func TestESGPlanHitAllocsZero(t *testing.T) {
+	e, env, q, now, later := warmPlan(t)
+	for _, tc := range []struct {
+		tier string
+		at   time.Duration
+		hits func(sched.PlanCacheStats) uint64
+	}{
+		{"exact", now, func(s sched.PlanCacheStats) uint64 { return s.Hits }},
+		{"interval", later, func(s sched.PlanCacheStats) uint64 { return s.IntervalHits }},
+	} {
+		before := e.PlanCacheStats()
+		allocs := testing.AllocsPerRun(100, func() {
+			if e.Plan(env, q, tc.at).Empty() {
+				t.Fatal("empty plan")
+			}
+		})
+		after := e.PlanCacheStats()
+		if got := tc.hits(after) - tc.hits(before); got != 101 || after.Misses != before.Misses {
+			t.Fatalf("%s: %d of 101 calls hit the %s tier (%d cold)", tc.tier, got, tc.tier, after.Misses-before.Misses)
+		}
+		if allocs != 0 {
+			t.Errorf("warm %s-hit Plan allocates %.0f times per call, want 0", tc.tier, allocs)
+		}
+	}
+}
+
+// BenchmarkESGPlanHit measures one warm exact-hit Plan: the per-call cost
+// of re-planning when the plan cache answers.
+func BenchmarkESGPlanHit(b *testing.B) {
+	e, env, q, now, _ := warmPlan(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if e.Plan(env, q, now).Empty() {
+			b.Fatal("empty plan")
 		}
 	}
 }

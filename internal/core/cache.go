@@ -3,6 +3,8 @@ package core
 import (
 	"container/list"
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -105,12 +107,13 @@ type intervalKey struct {
 // count as misses. Answers therefore never depend on the interleaving of
 // concurrent callers; the counters may.
 //
-// Read-only contract: the returned SearchResult — the Paths slice and
-// every Path.Ests in it — is shared between the cache and every past and
-// future caller of the same key. Callers must not modify it. Both slice
-// levels are capacity-frozen, so an append always copies; writing elements
-// in place corrupts other callers' plans. CheckMutations/Integrity exist to
-// catch exactly that in tests.
+// Read-only contract: the returned SearchResult — the Paths slice, every
+// Path.Ests in it, and the candidate list derived from them, which ESG
+// returns as sched.Plan.Candidates — is shared between the cache and every
+// past and future caller of the same key. Callers must not modify it.
+// Every slice is capacity-frozen, so an append always copies; writing
+// elements in place corrupts other callers' plans. CheckMutations/Integrity
+// exist to catch exactly that in tests.
 type PlanCache struct {
 	mu          sync.Mutex
 	capacity    int
@@ -134,9 +137,9 @@ type PlanCache struct {
 type cacheEntry struct {
 	key cacheKey
 	res SearchResult
-	// snapshot is a deep copy of res.Paths taken at insertion when
+	// snapshot is a deep copy of res taken at insertion when
 	// CheckMutations is armed; Integrity compares against it.
-	snapshot []Path
+	snapshot *SearchResult
 }
 
 // intervalEntry is one self-contained record of the feasibility-interval
@@ -150,7 +153,7 @@ type intervalEntry struct {
 	res        SearchResult
 	computedAt time.Duration
 	tmax       time.Duration
-	snapshot   []Path
+	snapshot   *SearchResult
 }
 
 // covers reports whether the entry's result answers a search at the
@@ -244,7 +247,7 @@ func (c *PlanCache) Integrity() error {
 		if ent.snapshot == nil {
 			continue
 		}
-		if !pathsEqual(ent.res.Paths, ent.snapshot) {
+		if !sharedEqual(ent.res, *ent.snapshot) {
 			return fmt.Errorf("core: cached plan for %q (gslo %v) was mutated by a caller; plans returned by PlanCache.Search are read-only",
 				ent.key.sig, time.Duration(ent.key.gslo))
 		}
@@ -255,7 +258,7 @@ func (c *PlanCache) Integrity() error {
 			if ent.snapshot == nil {
 				continue
 			}
-			if !pathsEqual(ent.res.Paths, ent.snapshot) {
+			if !sharedEqual(ent.res, *ent.snapshot) {
 				return fmt.Errorf("core: interval-cached plan for %q (computed at %v) was mutated by a caller; plans returned by PlanCache.Search are read-only",
 					ikey.sig, ent.computedAt)
 			}
@@ -386,7 +389,7 @@ func (c *PlanCache) Search(in SearchInput, sig string) SearchResult {
 func (c *PlanCache) insertLocked(key cacheKey, res SearchResult) {
 	ent := &cacheEntry{key: key, res: res}
 	if c.checkMut {
-		ent.snapshot = deepCopyPaths(res.Paths)
+		ent.snapshot = deepCopyShared(res)
 	}
 	el := c.order.PushFront(ent)
 	c.entries[key] = el
@@ -428,7 +431,7 @@ func (c *PlanCache) indexIntervalLocked(ikey intervalKey, res SearchResult, comp
 	}
 	ent := intervalEntry{res: res, computedAt: computedAt, tmax: tmax}
 	if c.checkMut {
-		ent.snapshot = deepCopyPaths(res.Paths)
+		ent.snapshot = deepCopyShared(res)
 	}
 	if len(lst.entries) >= maxIntervalPerKey {
 		lst.entries = append(lst.entries[:0], lst.entries[1:]...)
@@ -439,28 +442,36 @@ func (c *PlanCache) indexIntervalLocked(ikey intervalKey, res SearchResult, comp
 
 // freezeResult caps both slice levels of a fresh search result before the
 // cache shares it, so a caller's append can never write into the shared
-// storage (appends copy instead). Element writes remain physically possible
-// — that is what CheckMutations detects.
+// storage (appends copy instead), and derives the result's candidate list
+// — once per search, capacity-frozen likewise. Element writes remain
+// physically possible — that is what CheckMutations detects.
 func freezeResult(res SearchResult) SearchResult {
 	res.Paths = res.Paths[:len(res.Paths):len(res.Paths)]
 	for i := range res.Paths {
 		p := &res.Paths[i]
 		p.Ests = p.Ests[:len(p.Ests):len(p.Ests)]
 	}
+	res.firsts = firstConfigs(res.Paths, math.MaxInt)
 	return res
 }
 
-// deepCopyPaths clones paths including their Ests storage.
-func deepCopyPaths(paths []Path) []Path {
-	out := make([]Path, len(paths))
-	for i, p := range paths {
+// deepCopyShared clones the storage a frozen result shares with callers:
+// its paths, including their Ests, and its candidate list.
+func deepCopyShared(res SearchResult) *SearchResult {
+	out := make([]Path, len(res.Paths))
+	for i, p := range res.Paths {
 		out[i] = Path{
 			Ests: append([]profile.Estimate(nil), p.Ests...),
 			Time: p.Time,
 			Cost: p.Cost,
 		}
 	}
-	return out
+	return &SearchResult{Paths: out, firsts: slices.Clone(res.firsts)}
+}
+
+// sharedEqual compares the shared storage of two results element-wise.
+func sharedEqual(a, b SearchResult) bool {
+	return pathsEqual(a.Paths, b.Paths) && slices.Equal(a.firsts, b.firsts)
 }
 
 // pathsEqual compares two path sets element-wise (Estimate is a comparable

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/esg-sched/esg/internal/profile"
 	"github.com/esg-sched/esg/internal/sched"
+	"github.com/esg-sched/esg/internal/workflow"
 )
 
 func cacheInput(o *profile.Oracle, gslo time.Duration) SearchInput {
@@ -447,6 +449,42 @@ func TestPlanCacheSharedPlansAreReadOnly(t *testing.T) {
 	second.Paths[0].Ests[0].Time += time.Nanosecond
 	if err := c.Integrity(); err == nil {
 		t.Fatalf("element write through a shared plan went undetected")
+	}
+}
+
+func TestPlanCacheSharedCandidatesAreReadOnly(t *testing.T) {
+	// The candidate list the cache derives once per search is what ESG
+	// returns as sched.Plan.Candidates, to every plan the entry answers:
+	// it is capacity-frozen like the paths, and Integrity detects a write
+	// through any plan's candidates.
+	env, qs := schedEnv(t, workflow.Moderate)
+	c := NewPlanCache(0, 0)
+	c.CheckMutations()
+	e := New(WithPlanCache(c))
+	q := qs.Get(0, 0)
+	pushJobs(q, env.Apps[0], 0, 4, 0, env.SLOs[0])
+
+	first := e.Plan(env, q, time.Millisecond)
+	second := e.Plan(env, q, time.Millisecond)
+	if first.Empty() {
+		t.Fatal("empty plan")
+	}
+	if &first.Candidates[0] != &second.Candidates[0] {
+		t.Fatalf("an exact hit copied the candidate list instead of sharing the cached one")
+	}
+	pristine := slices.Clone(first.Candidates)
+
+	_ = append(first.Candidates, profile.Config{})
+	if err := c.Integrity(); err != nil {
+		t.Fatalf("append corrupted the cached candidates: %v", err)
+	}
+	if got := e.Plan(env, q, time.Millisecond).Candidates; !reflect.DeepEqual(got, pristine) {
+		t.Fatalf("cached candidates changed after a caller's append: %v, want %v", got, pristine)
+	}
+
+	second.Candidates[0].Batch++
+	if err := c.Integrity(); err == nil {
+		t.Fatalf("element write through plan.Candidates went undetected")
 	}
 }
 

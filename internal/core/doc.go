@@ -11,7 +11,10 @@
 //     returned by PlanCache.Search is shared between the cache and
 //     every past and future caller of the same key; both slice levels
 //     are capacity-capped so appends copy, and CheckMutations/Integrity
-//     detect in-place writes in tests.
+//     detect in-place writes in tests. The same holds for the candidate
+//     list the cache derives once per search: ESG.Plan returns it as
+//     sched.Plan.Candidates to every plan the entry answers, so a write
+//     through one plan's candidates would change every later plan.
 //   - Search ties are content-deterministic. The kept top-K paths are
 //     ordered by pathLess (cost, then time, then configurations), never
 //     by arrival or heap-pop order, so the A* search and the reference

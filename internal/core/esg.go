@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/esg-sched/esg/internal/cluster"
@@ -18,6 +17,12 @@ import (
 // approach of §3.1: schedules are revisited before the dispatch of every
 // serverless function — and dispatches with the locality-aware
 // ESG_Dispatch policy of §3.4.
+//
+// An ESG has a single owner: like a Searcher, it is not safe for
+// concurrent use, because Plan fills per-queue planning state in place.
+// Concurrent runs use one instance each; the PlanCache and DistMemo they
+// may share carry their own locks. The configuration fields below must
+// not change once a run has started planning.
 type ESG struct {
 	// GroupSize is the maximal function-group size of the dominator-based
 	// SLO distribution (default 3, §5.4).
@@ -35,29 +40,38 @@ type ESG struct {
 	// DisableBatching forces batch size 1 (the Fig. 12 ablation).
 	DisableBatching bool
 	// Dists, when non-nil, is a distribution memo shared with other ESG
-	// instances of a run grid (see DistMemo). The per-instance dists map
+	// instances of a run grid (see DistMemo). The instance's own memo
 	// still fronts it, so the shared memo's lock is off the steady-state
 	// Plan path.
 	Dists *DistMemo
 
 	// cache, when non-nil, memoizes ESG_1Q searches across Plan calls.
 	cache *PlanCache
-	// mu guards the lazily filled sigs and dists memos. The plan cache
-	// carries its own synchronization.
-	mu sync.Mutex
-	// sigs memoizes the cache signature per (oracle, stage) — Plan is
-	// the hot path, and the signature is deterministic for those inputs.
-	sigs map[sigKey]string
 
-	dists map[int]*dominator.Distribution
+	// env is the platform view the state below was built for; Plan drops
+	// that state when it is handed another one (a new run), or when
+	// EnablePlanCache has cleared env.
+	env *sched.Env
+	// dists memoizes each application's SLO distribution, indexed like
+	// env.Apps.
+	dists []*dominator.Distribution
+	// ctxs holds each queue's planning context, indexed [appIndex][stage]
+	// and built on the queue's first Plan.
+	ctxs [][]*planContext
 }
 
-// sigKey locates one memoized group signature: the profile tables it was
-// built against and the queue stage whose remaining sequence it names.
-type sigKey struct {
-	oracle   *profile.Oracle
-	appIndex int
-	stage    int
+// planContext is what Plan needs about one (application, stage) queue that
+// does not change from call to call.
+type planContext struct {
+	// in is the search template: Tables, K, Hop and Filter are set; Plan
+	// fills in GSLO and MaxFirstBatch.
+	in SearchInput
+	// quota is the remaining sequence's share of the SLO budget (the q of
+	// Algorithm 1).
+	quota float64
+	// sig is the plan-cache signature of the search (empty without a
+	// cache).
+	sig string
 }
 
 // Option configures an ESG instance.
@@ -87,7 +101,6 @@ func New(opts ...Option) *ESG {
 		GroupSize: dominator.DefaultGroupSize,
 		K:         DefaultK,
 		Margin:    0.9,
-		dists:     make(map[int]*dominator.Distribution),
 	}
 	for _, o := range opts {
 		o(e)
@@ -112,9 +125,7 @@ func (e *ESG) Name() string {
 // distribution lazily computes (and caches) the dominator-based SLO
 // distribution of an application.
 func (e *ESG) distribution(env *sched.Env, appIndex int) *dominator.Distribution {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if d, ok := e.dists[appIndex]; ok {
+	if d := e.dists[appIndex]; d != nil {
 		return d
 	}
 	app := env.Apps[appIndex]
@@ -141,6 +152,48 @@ func (e *ESG) distribution(env *sched.Env, appIndex int) *dominator.Distribution
 	return d
 }
 
+// context returns the planning context of q, building it on the queue's
+// first Plan. A different env means a new run, whose applications may
+// differ: every context and distribution of the previous one is dropped.
+func (e *ESG) context(env *sched.Env, q *queue.AFW) *planContext {
+	if env != e.env {
+		e.env = env
+		e.dists = make([]*dominator.Distribution, len(env.Apps))
+		e.ctxs = make([][]*planContext, len(env.Apps))
+	}
+	row := e.ctxs[q.AppIndex]
+	if row == nil {
+		row = make([]*planContext, env.Apps[q.AppIndex].Len())
+		e.ctxs[q.AppIndex] = row
+	}
+	if pc := row[q.Stage]; pc != nil {
+		return pc
+	}
+	stages, quota := e.distribution(env, q.AppIndex).RemainingSequence(q.Stage)
+	tables := make([]*profile.FunctionTable, len(stages))
+	for i, s := range stages {
+		tables[i] = env.StageTable(q.AppIndex, s)
+	}
+	// GroupHop folds the data-movement model's expected per-edge transfer
+	// into the search when the topology is enabled (HopTransfer otherwise,
+	// unchanged). It is a pure function of static config, so it is fixed
+	// for the context and the plan cache keys on the hop value.
+	pc := &planContext{
+		in: SearchInput{
+			Tables: tables,
+			K:      e.K,
+			Hop:    env.GroupHop(q.AppIndex, stages),
+			Filter: e.configFilter(env),
+		},
+		quota: quota,
+	}
+	if e.cache != nil {
+		pc.sig = e.groupSignature(env, q, stages)
+	}
+	row[q.Stage] = pc
+	return pc
+}
+
 // configFilter returns the ablation filter, or nil when both features are
 // enabled.
 func (e *ESG) configFilter(env *sched.Env) func(profile.Config) bool {
@@ -159,60 +212,41 @@ func (e *ESG) configFilter(env *sched.Env) func(profile.Config) bool {
 	}
 }
 
-// Plan implements sched.Scheduler: it computes the queue's remaining group
-// sequence and time quota from the dominator-based distribution, derives
-// the group target latency (SLO − w) × q, runs ESG_1Q, and returns the
-// distinct first-stage configurations of the top-K paths as the
-// configuration priority queue.
+// Plan implements sched.Scheduler: it derives the group target latency
+// (SLO − w) × q from the queue's oldest arrival and its context's quota,
+// runs ESG_1Q (through the plan cache when one is attached), and returns
+// the distinct first-stage configurations of the top-K paths as the
+// configuration priority queue. With a cache the list is the one the
+// cache stored with the result, shared with every plan it answers.
 func (e *ESG) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.Plan {
 	sw := sched.StartStopwatch(env)
+	pc := e.context(env, q)
 
-	dist := e.distribution(env, q.AppIndex)
-	stages, quota := dist.RemainingSequence(q.Stage)
-
-	slo := env.SLOs[q.AppIndex]
-	w := q.OldestElapsed(now) // longest elapsed time among queued instances
-	budget := slo - w
+	budget := env.SLOs[q.AppIndex] - q.OldestElapsed(now)
 	margin := e.Margin
 	if margin <= 0 || margin > 1 {
 		margin = 0.9
 	}
-	gslo := time.Duration(float64(budget) * quota * margin)
+	n := q.Len()
+	in := pc.in
+	in.GSLO = time.Duration(float64(budget) * pc.quota * margin)
+	in.MaxFirstBatch = n
 
-	tables := make([]*profile.FunctionTable, len(stages))
-	for i, s := range stages {
-		tables[i] = env.StageTable(q.AppIndex, s)
-	}
-
-	// GroupHop folds the data-movement model's expected per-edge transfer
-	// into the search when the topology is enabled (HopTransfer otherwise,
-	// unchanged). It is a pure function of static config, so concurrent
-	// planning stays sound and the plan cache keys on the hop value.
-	in := SearchInput{
-		Tables:        tables,
-		GSLO:          gslo,
-		MaxFirstBatch: q.Len(),
-		K:             e.K,
-		Hop:           env.GroupHop(q.AppIndex, stages),
-		Filter:        e.configFilter(env),
-	}
 	var res SearchResult
 	if e.cache != nil {
-		res = e.cache.Search(in, e.groupSignature(env, q, stages))
+		res = e.cache.Search(in, pc.sig)
 	} else {
 		res = Search(in)
+		res.firsts = firstConfigs(res.Paths, n)
 	}
-
-	plan := sched.Plan{Overhead: sw.Elapsed()}
-	seen := make(map[profile.Config]bool, len(res.Paths))
-	for _, p := range res.Paths {
-		cfg := p.Ests[0].Config
-		if cfg.Batch > q.Len() {
-			cfg.Batch = q.Len() // defensive: Search already bounds stage 0
-		}
-		if !seen[cfg] {
-			seen[cfg] = true
-			plan.Candidates = append(plan.Candidates, cfg)
+	plan := sched.Plan{Candidates: res.firsts, Overhead: sw.Elapsed()}
+	for _, cfg := range res.firsts {
+		if cfg.Batch > n {
+			// Search bounds stage 0 by the queue length except on an
+			// empty queue and in the over-constrained fallback. Clamp
+			// into a fresh list, never the shared one.
+			plan.Candidates = firstConfigs(res.Paths, n)
+			break
 		}
 	}
 	return plan
@@ -221,26 +255,13 @@ func (e *ESG) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.Plan {
 // groupSignature identifies the stage-group search for the plan cache:
 // the profile-table generation (oracle identity, named by the cache so
 // instances sharing one cache across oracles can never collide), the
-// function sequence, and the ablation-filter identity. Signatures are
-// memoized per (oracle, app, stage) — the remaining sequence is
-// deterministic for those inputs — keeping the hit path allocation-free.
+// function sequence, and the ablation-filter identity.
 func (e *ESG) groupSignature(env *sched.Env, q *queue.AFW, stages []int) string {
-	k := sigKey{oracle: env.Oracle, appIndex: q.AppIndex, stage: q.Stage}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if sig, ok := e.sigs[k]; ok {
-		return sig
-	}
 	fns := make([]string, len(stages))
 	for i, s := range stages {
 		fns[i] = q.App.Stage(s).Function
 	}
-	sig := GroupSignature(e.cache.TableID(env.Oracle), fns, e.filterID(env))
-	if e.sigs == nil {
-		e.sigs = make(map[sigKey]string)
-	}
-	e.sigs[k] = sig
-	return sig
+	return GroupSignature(e.cache.TableID(env.Oracle), fns, e.filterID(env))
 }
 
 // filterID names the active admissibility filter (the Fig. 12
@@ -260,10 +281,11 @@ func (e *ESG) filterID(env *sched.Env) string {
 }
 
 // EnablePlanCache implements sched.PlanCaching: it attaches a fresh
-// memoized search layer (replacing any existing one).
+// memoized search layer (replacing any existing one). The planning
+// contexts hold signatures of the old cache, so they are dropped.
 func (e *ESG) EnablePlanCache(capacity int, granularity time.Duration) {
 	e.cache = NewPlanCache(capacity, granularity)
-	e.sigs = nil
+	e.env = nil
 }
 
 // PlanCacheStats implements sched.PlanCaching; zero counters when no cache

@@ -70,6 +70,28 @@ type SearchResult struct {
 	Feasible bool
 	// Expanded counts search-node expansions (diagnostics, §5.3).
 	Expanded int
+
+	// firsts is the configuration priority queue firstConfigs derives
+	// from Paths. A PlanCache fills it once per search, and it is then
+	// shared and read-only like Paths; Search leaves it nil.
+	firsts []profile.Config
+}
+
+// firstConfigs returns the distinct first-stage configurations of paths in
+// path order, each batch size clamped to maxBatch first — the
+// configuration priority queue ESG hands the dispatcher. There are at most
+// K paths, so a linear scan dedupes. The list is capacity-frozen: an
+// append by a caller copies instead of writing into shared storage.
+func firstConfigs(paths []Path, maxBatch int) []profile.Config {
+	var out []profile.Config
+	for _, p := range paths {
+		cfg := p.Ests[0].Config
+		cfg.Batch = min(cfg.Batch, maxBatch)
+		if !slices.Contains(out, cfg) {
+			out = append(out, cfg)
+		}
+	}
+	return slices.Clip(out)
 }
 
 const defaultMaxExpansions = 4 << 20

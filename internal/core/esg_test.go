@@ -14,8 +14,13 @@ import (
 
 func schedEnv(t *testing.T, level workflow.SLOLevel) (*sched.Env, *queue.Set) {
 	t.Helper()
+	return envFor(t, workflow.EvaluationApps(), level)
+}
+
+// envFor builds a fresh planning environment over apps at the SLO level.
+func envFor(tb testing.TB, apps []*workflow.App, level workflow.SLOLevel) (*sched.Env, *queue.Set) {
+	tb.Helper()
 	reg := profile.Table3Registry()
-	apps := workflow.EvaluationApps()
 	slos := make([]time.Duration, len(apps))
 	for i, a := range apps {
 		slos[i] = workflow.SLOFor(a, level, reg)

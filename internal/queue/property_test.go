@@ -119,6 +119,62 @@ func TestAFWMinSLORemainingRandomized(t *testing.T) {
 	}
 }
 
+// TestAFWOldestElapsedRandomized cross-checks OldestElapsed, which reads
+// the queue's arrival deque, against a direct scan of the queued jobs after
+// every push and take. Arrivals come out of order (requeued and successor
+// jobs carry older instances), some lie ahead of the clock, and the queues
+// run deep enough for both the job ring and the deque to compact.
+func TestAFWOldestElapsedRandomized(t *testing.T) {
+	app := workflow.Chain("prop", profile.Deblur)
+	src := rng.New(0x01DE57)
+	scan := func(jobs []*Job, now time.Duration) time.Duration {
+		var want time.Duration
+		for _, j := range jobs {
+			want = max(want, j.Instance.Elapsed(now))
+		}
+		return want
+	}
+	compactions := 0
+	for trial := 0; trial < 40; trial++ {
+		q := NewAFW(0, 0, app, 0)
+		var model []*Job
+		now := time.Duration(0)
+		target := 8 + src.IntN(150) // queue depth the trial drifts around
+		for step := 0; step < 600; step++ {
+			now += time.Duration(src.IntN(3)) * time.Millisecond
+			if src.IntN(2*target) >= len(model) {
+				arrival := now
+				switch src.IntN(4) {
+				case 0: // an older instance: a requeue or a successor stage
+					arrival -= time.Duration(src.IntN(200)) * time.Millisecond
+				case 1: // ahead of the clock: elapsed clamps at 0
+					arrival += time.Duration(src.IntN(3)) * time.Millisecond
+				}
+				job := &Job{Instance: NewInstance(step, 0, app, arrival, time.Second), EnqueuedAt: now}
+				q.Push(job)
+				model = append(model, job)
+			} else if len(model) > 0 {
+				n := 1 + src.IntN(min(len(model), 12))
+				before := q.arrHead
+				q.Take(n)
+				model = model[n:]
+				if q.arrHead < before && q.Len() > 0 {
+					compactions++
+				}
+			}
+			for _, at := range []time.Duration{now, now + time.Duration(src.IntN(500))*time.Millisecond} {
+				if got, want := q.OldestElapsed(at), scan(model, at); got != want {
+					t.Fatalf("trial %d step %d: OldestElapsed(%v)=%v, scan says %v", trial, step, at, got, want)
+				}
+			}
+		}
+	}
+	t.Logf("%d arrival-deque compactions", compactions)
+	if compactions == 0 {
+		t.Fatalf("no trial compacted the arrival deque; deepen the queues")
+	}
+}
+
 // TestSetRoutingRandomized pushes random jobs through a Set over a
 // multi-stage app and checks that no queue ever holds a job of another
 // stage and that TotalPending never loses a job.

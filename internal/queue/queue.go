@@ -179,6 +179,10 @@ type Task struct {
 // from the front advances the head instead of shifting the slice, and the
 // storage is reclaimed when the queue drains (or compacted once the dead
 // prefix dominates).
+//
+// A queued job's instance must keep its Arrival until the job leaves the
+// queue: the queue indexes arrivals at Push. The controller guarantees it
+// by recycling only Done instances, which have no job queued anywhere.
 type AFW struct {
 	// ID is the queue's index in the controller's round-robin order.
 	ID       int
@@ -198,11 +202,31 @@ type AFW struct {
 
 	jobs []*Job
 	head int
+	// taken counts every job ever taken, so the job at ring index i has
+	// the push position taken + i - head for as long as it is queued.
+	taken int
+
+	// arrivals is a monotone deque over the queued jobs' instance
+	// arrivals, live from index arrHead on: push positions and arrivals
+	// both strictly increase along it, so its front holds the earliest
+	// arrival still queued. Push drops every back entry that arrived no
+	// earlier than the new job: the new job leaves the queue after them,
+	// so none of them can be the earliest again. A take drops the front
+	// entries whose jobs left.
+	arrivals []arrivalMark
+	arrHead  int
 
 	// RecheckRounds counts consecutive failed dispatch attempts while the
 	// queue sits on the recheck list (§3.1: after too many rounds the
 	// queue is force-dispatched with the minimum configuration).
 	RecheckRounds int
+}
+
+// arrivalMark is one entry of an AFW queue's arrival deque: the push
+// position of a queued job and its instance's arrival.
+type arrivalMark struct {
+	pos     int
+	arrival time.Duration
 }
 
 // KeyFor builds the home-invoker hash key of an (application, stage) pair —
@@ -232,6 +256,12 @@ func (q *AFW) Push(j *Job) {
 		// mismatched job means the caller resolved the wrong queue.
 		panic(fmt.Sprintf("queue %d: job for stage %d pushed to stage-%d queue", q.ID, j.Stage, q.Stage))
 	}
+	arrival := j.Instance.Arrival
+	marks := q.arrivals
+	for len(marks) > q.arrHead && marks[len(marks)-1].arrival >= arrival {
+		marks = marks[:len(marks)-1]
+	}
+	q.arrivals = append(marks, arrivalMark{pos: q.taken + q.Len(), arrival: arrival})
 	q.jobs = append(q.jobs, j)
 }
 
@@ -259,16 +289,14 @@ func (q *AFW) OldestWait(now time.Duration) time.Duration {
 }
 
 // OldestElapsed returns the largest end-to-end elapsed time among queued
-// jobs' instances (0 if empty) — the budget already consumed by the most
-// urgent instance.
+// jobs' instances (0 if empty, never negative) — the budget already
+// consumed by the most urgent instance. It reads the front of the arrival
+// deque, so it costs O(1) at any queue depth.
 func (q *AFW) OldestElapsed(now time.Duration) time.Duration {
-	var max time.Duration
-	for _, j := range q.jobs[q.head:] {
-		if e := j.Instance.Elapsed(now); e > max {
-			max = e
-		}
+	if q.arrHead == len(q.arrivals) {
+		return 0
 	}
-	return max
+	return max(0, now-q.arrivals[q.arrHead].arrival)
 }
 
 // Take removes and returns the n oldest jobs in a fresh slice.
@@ -286,22 +314,30 @@ func (q *AFW) TakeAppend(dst []*Job, n int) []*Job {
 	for i := q.head; i < q.head+n; i++ {
 		q.jobs[i] = nil // release for GC; the ring keeps the slot
 	}
-	q.head += n
-	switch {
-	case q.head == len(q.jobs):
-		q.jobs = q.jobs[:0]
-		q.head = 0
-	case q.head >= 32 && q.head*2 >= len(q.jobs):
-		// The dead prefix dominates: compact so appends stop growing the
-		// backing array past the live length.
-		live := copy(q.jobs, q.jobs[q.head:])
-		for i := live; i < len(q.jobs); i++ {
-			q.jobs[i] = nil
-		}
-		q.jobs = q.jobs[:live]
-		q.head = 0
+	q.jobs, q.head = reclaim(q.jobs, q.head+n)
+	q.taken += n
+	for q.arrHead < len(q.arrivals) && q.arrivals[q.arrHead].pos < q.taken {
+		q.arrHead++
 	}
+	q.arrivals, q.arrHead = reclaim(q.arrivals, q.arrHead)
 	return dst
+}
+
+// reclaim is the storage rule of a head-indexed ring whose head just
+// advanced: a drained ring restarts at the front of its storage, and once
+// the dead prefix dominates (at least 32 slots and half the length) the
+// live tail is compacted to the front, so appends stop growing the backing
+// array past the live length. Vacated slots are zeroed for the GC.
+func reclaim[T any](ring []T, head int) ([]T, int) {
+	switch {
+	case head == len(ring):
+		return ring[:0], 0
+	case head >= 32 && head*2 >= len(ring):
+		live := copy(ring, ring[head:])
+		clear(ring[live:])
+		return ring[:live], 0
+	}
+	return ring, head
 }
 
 // Peek returns the n oldest jobs without removing them.

@@ -91,7 +91,8 @@ func (e *Env) GroupHop(appIndex int, stages []int) time.Duration {
 type Plan struct {
 	// Candidates is read-only for every caller: a scheduler may hand out
 	// a list it shares with later plans (baselines.Memo's memoized
-	// rankings, baselines.Ladder's pre-planned rungs).
+	// rankings, baselines.Ladder's pre-planned rungs, the list ESG's plan
+	// cache stores with each search).
 	Candidates []profile.Config
 	// ConfigMiss marks a pre-planned configuration whose batch size
 	// exceeded the queue length at schedule time (Table 4); the candidate
