@@ -37,6 +37,17 @@
 //     unpruned admitted lists. SearchLevelwise and BruteForceSearch stay
 //     unpruned as independent references, and the randomized oracle
 //     tests compare whole paths.
+//   - The A* cost-to-go is time-aware and cannot change plans. A partial
+//     path is priced at its cost, plus each middle stage's cheapest
+//     config, plus the cheapest last-stage config that still fits what
+//     GSLO leaves once the hops and the middle stages run at their
+//     fastest (costToGo). The bound is admissible and exact when one
+//     stage remains, so a path costing at most the final K-th cost keeps
+//     every prefix at or under the cost blade's threshold and is still
+//     generated, and pathLess keeps the same top K. Only the pop order,
+//     and with it Expanded, depends on the bound. refSearch, a frozen copy
+//     of the search with the time-agnostic bound, and the exhaustive
+//     oracle pin this in tests, FuzzSearch among them.
 //   - The over-constrained fallback is shared and panic-free: when no
 //     configuration passes the admissibility filter under the batch
 //     bound, Search, SearchLevelwise and BruteForceSearch all degrade

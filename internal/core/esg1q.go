@@ -97,9 +97,9 @@ func firstConfigs(paths []Path, maxBatch int) []profile.Config {
 const defaultMaxExpansions = 4 << 20
 
 // Searcher runs ESG_1Q searches with reusable scratch: the A* node arena,
-// the frontier, the per-stage configuration lists and the suffix bounds all
-// live in buffers that survive across searches, so a warm Searcher expands
-// the configuration graph without allocating on the steady path. A Searcher
+// the frontier, the per-stage configuration lists and the bounds all live
+// in buffers that survive across searches, so a warm Searcher expands the
+// configuration graph without allocating on the steady path. A Searcher
 // is not safe for concurrent use; the package-level Search draws Searchers
 // from a pool.
 type Searcher struct {
@@ -114,19 +114,10 @@ type Searcher struct {
 	estBuf       []profile.Estimate
 	minTimeAfter []time.Duration
 	minCostAfter []units.Money
-	arena        []node
-
-	// Vectorized views of lists for the hot expansion loop: per-stage flat
-	// arrays of est.Time and est.JobCost with the stage's suffix bound
-	// pre-added, so the config-list walk reads two 8-byte-stride arrays
-	// (bound compare + one add each) instead of striding whole Estimate
-	// structs. Rebuilt by prepareHot after every prepareLists; identical
-	// arithmetic in identical order, so search results are byte-for-byte
-	// those of the struct walk.
-	timeBuf []time.Duration
-	costBuf []units.Money
-	stageT  [][]time.Duration
-	stageC  [][]units.Money
+	// lastCost[i] is the lowest JobCost among the last stage's first i+1
+	// search-list configs: the prefix minimum the cost-to-go reads.
+	lastCost []units.Money
+	arena    []node
 
 	// open is the frontier: a binary min-heap on f (see pushOpen).
 	open []openItem
@@ -143,7 +134,9 @@ var searcherPool = sync.Pool{New: func() any { return NewSearcher() }}
 // Search runs ESG_1Q: best-first (A*) search over the layered configuration
 // graph with dual-blade pruning — partial paths are cut when their time
 // lower bound exceeds GSLO or their cost lower bound cannot improve on the
-// K-th best known completion (§3.3).
+// K-th best known completion (§3.3). The cost lower bound is time-aware:
+// the last stage is priced at its cheapest config that still fits what the
+// target leaves it (see costToGo).
 func Search(in SearchInput) SearchResult {
 	s := searcherPool.Get().(*Searcher)
 	res := s.Search(in)
@@ -173,7 +166,6 @@ func (s *Searcher) Search(in SearchInput) SearchResult {
 	// ablation filter applied, then K-dominance pruned.
 	s.prepareLists(in, m, k)
 	s.prepareBounds(in.Hop, m)
-	s.prepareHot(m)
 
 	res := SearchResult{}
 	s.best.reset(k) // the K cheapest feasible full paths
@@ -197,7 +189,6 @@ func (s *Searcher) Search(in SearchInput) SearchResult {
 func (s *Searcher) runLoop(gslo, hop time.Duration, maxExp int, res *SearchResult) {
 	m := len(s.lists)
 	minTimeAfter := s.minTimeAfter[:m+1]
-	minCostAfter := s.minCostAfter[:m+1]
 
 	// bestFull/bestWorst mirror the pruning threshold of s.best, which
 	// Search has just emptied, so the inner loop reads locals; they are
@@ -231,39 +222,44 @@ func (s *Searcher) runLoop(gslo, hop time.Duration, maxExp int, res *SearchResul
 		if j > 0 {
 			hopj = hop
 		}
-		// Vectorized walk: listT/listC hold est.Time/est.JobCost with the
-		// stage's suffix bound pre-added (see prepareHot), so each pruned
-		// candidate costs one add and one compare per blade; t and c are
-		// recovered exactly by subtracting the constant back out (integer
-		// arithmetic, so (x+s)-s == x).
-		listT := s.stageT[j]
-		listC := s.stageC[j]
-		sufT := minTimeAfter[j+1]
-		sufC := minCostAfter[j+1]
+		list := s.lists[j]
 		tBase := n.time + hopj
-		cBase := n.cost
-		for idx := range listT {
-			tLow := tBase + listT[idx]
-			if tLow > gslo {
+		// room is the longest stage j may take with every later stage and
+		// hop at its fastest.
+		room := gslo - tBase - minTimeAfter[j+1]
+		done := j == m-1
+		var h costToGo
+		if !done {
+			h = s.costToGo(j+1, gslo)
+		}
+		for idx := range list {
+			e := &list[idx]
+			if e.Time > room {
 				break // blade 1: lists are latency-ascending
 			}
-			t := tLow - sufT
-			rscLow := cBase + listC[idx]
-			c := rscLow - sufC
+			t := tBase + e.Time
+			c := n.cost + e.JobCost
+			f := c // a completion's exact cost
+			if !done {
+				f += h.at(t)
+			}
 			// Blade 2: cost-based pruning. Algorithm 1 prunes against
 			// minRSC, a list of the K best rscFastest bounds; as printed
 			// that list can double-count completions of nested prefixes
 			// (a prefix and its extension both insert bounds for the same
 			// full path), so pruning against it can lose members of the
 			// true top-K. We prune against the K-th best *completed* path
-			// instead — the same blade, with a sound threshold. The
-			// best-first order fills the heap with cheap completions
-			// quickly, so the blade engages early.
-			if bestFull && rscLow > bestWorst {
+			// instead — the same blade, with a sound threshold. A partial
+			// path's f prices what is left of it by the time it has left
+			// (costToGo), so a prefix that leaves room only for dear, fast
+			// completions is cut before it is pushed. The best-first order
+			// fills the heap with cheap completions quickly, so the blade
+			// engages early.
+			if bestFull && f > bestWorst {
 				continue
 			}
-			if j == m-1 {
-				s.best.add(s.buildPath(it.idx, &s.lists[j][idx], t, c))
+			if done {
+				s.best.add(s.buildPath(it.idx, e, t, c))
 				if bestFull = s.best.full(); bestFull {
 					bestWorst = s.best.worst()
 				}
@@ -272,9 +268,51 @@ func (s *Searcher) runLoop(gslo, hop time.Duration, maxExp int, res *SearchResul
 			s.arena = append(s.arena, node{
 				parent: it.idx, estIdx: int32(idx), level: int32(j), time: t, cost: c,
 			})
-			s.pushOpen(rscLow, int32(len(s.arena)-1))
+			s.pushOpen(f, int32(len(s.arena)-1))
 		}
 	}
+}
+
+// costToGo is A*'s cost-to-go for the children of one expansion: a lower
+// bound on what completing stages i..m-1 (0 < i < m) costs a partial path
+// that has used time t of GSLO. Each middle stage costs at least its
+// cheapest config. The last stage may take at most what GSLO leaves once
+// the hops and the middle stages run at their fastest, so it costs at
+// least the cheapest of its configs that fit: a prefix minimum over its
+// latency-ascending list (lastCost). The bound is admissible, exact when
+// one stage remains, and never below the time-agnostic minCostAfter[i].
+type costToGo struct {
+	last []profile.Estimate // the last stage's search list
+	cost []units.Money      // lastCost over last
+	mid  units.Money        // the middle stages' cheapest configs
+	// limit minus a path's time is the longest the last stage may take.
+	limit time.Duration
+	p     int // index of the slowest last-stage config not yet ruled out
+}
+
+// costToGo prepares the cost-to-go of stages i..m-1 under target gslo.
+func (s *Searcher) costToGo(i int, gslo time.Duration) costToGo {
+	last := s.lists[len(s.lists)-1]
+	cost := s.lastCost[:len(last)]
+	return costToGo{
+		last:  last,
+		cost:  cost,
+		mid:   s.minCostAfter[i] - cost[len(cost)-1],
+		limit: gslo - (s.minTimeAfter[i] - last[0].Time),
+		p:     len(last) - 1,
+	}
+}
+
+// at returns the cost-to-go of a path that has used time t. t must pass the
+// time blade (t + minTimeAfter[i] <= GSLO), so the fastest last-stage config
+// always fits, and successive calls must not lower t: the pointer into the
+// last stage's list then only moves down, and runLoop, which walks a
+// node's children in latency order, pays O(len(last)) per expansion.
+func (h *costToGo) at(t time.Duration) units.Money {
+	for h.last[h.p].Time > h.limit-t {
+		h.p--
+	}
+	return h.mid + h.cost[h.p]
 }
 
 // prepareLists fills s.admitted with the per-stage admitted configuration
@@ -396,42 +434,6 @@ func estLess(a, b *profile.Estimate) bool {
 	return ca.GPU < cb.GPU
 }
 
-// prepareHot rebuilds the vectorized per-stage views of s.lists for
-// runLoop: flat arrays of est.Time + minTimeAfter[j+1] and est.JobCost +
-// minCostAfter[j+1], backed by reusable flat buffers. Must run after
-// prepareBounds, which fills the suffix bounds it folds in.
-func (s *Searcher) prepareHot(m int) {
-	total := 0
-	for j := 0; j < m; j++ {
-		total += len(s.lists[j])
-	}
-	if cap(s.timeBuf) < total {
-		s.timeBuf = make([]time.Duration, 0, total)
-	}
-	if cap(s.costBuf) < total {
-		s.costBuf = make([]units.Money, 0, total)
-	}
-	tb := s.timeBuf[:0]
-	cb := s.costBuf[:0]
-	st := s.stageT[:0]
-	sc := s.stageC[:0]
-	minTimeAfter := s.minTimeAfter[:m+1]
-	minCostAfter := s.minCostAfter[:m+1]
-	for j := 0; j < m; j++ {
-		list := s.lists[j]
-		sufT := minTimeAfter[j+1]
-		sufC := minCostAfter[j+1]
-		start := len(tb)
-		for i := range list {
-			tb = append(tb, list[i].Time+sufT)
-			cb = append(cb, list[i].JobCost+sufC)
-		}
-		st = append(st, tb[start:len(tb):len(tb)])
-		sc = append(sc, cb[start:len(cb):len(cb)])
-	}
-	s.timeBuf, s.costBuf, s.stageT, s.stageC = tb, cb, st, sc
-}
-
 // overConstrainedFallback picks the single-config list of a stage whose
 // combined constraints admit no configuration. The batch bound is relaxed
 // first: the fastest *filter-admissible* config preserves the ablation
@@ -461,10 +463,11 @@ func overConstrainedFallback(src []profile.Estimate, maxBatch int, filter func(p
 	return src[:1:1]
 }
 
-// prepareBounds fills the suffix bounds for the two blades:
+// prepareBounds fills the bounds for the two blades:
 //
 //	minTimeAfter[j] — fastest possible completion of stages >= j,
-//	minCostAfter[j] — cheapest possible completion of stages >= j.
+//	minCostAfter[j] — cheapest possible completion of stages >= j,
+//	lastCost[i]     — cheapest of the last stage's i+1 fastest configs.
 func (s *Searcher) prepareBounds(hop time.Duration, m int) {
 	if cap(s.minTimeAfter) < m+1 {
 		s.minTimeAfter = make([]time.Duration, m+1)
@@ -482,6 +485,14 @@ func (s *Searcher) prepareBounds(hop time.Duration, m int) {
 		minTimeAfter[j] = minTimeAfter[j+1] + mt + h
 		minCostAfter[j] = minCostAfter[j+1] + mc
 	}
+	last := s.lists[m-1]
+	cost := s.lastCost[:0]
+	low := last[0].JobCost
+	for i := range last {
+		low = min(low, last[i].JobCost)
+		cost = append(cost, low)
+	}
+	s.lastCost = cost
 }
 
 // node is a partial path covering stages 0..level, stored in the arena and

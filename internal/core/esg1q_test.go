@@ -1,13 +1,16 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"github.com/esg-sched/esg/internal/pricing"
 	"github.com/esg-sched/esg/internal/profile"
+	"github.com/esg-sched/esg/internal/units"
 )
 
 func testOracle() *profile.Oracle {
@@ -143,28 +146,184 @@ func TestSearchPrunesVersusBruteForce(t *testing.T) {
 	if !got.Feasible {
 		t.Fatalf("expected feasible search")
 	}
-	// Brute force enumerates 256³ ≈ 16.7M paths; the blades plus the
-	// K-dominance prune of the config lists keep this search to 444
-	// expansions.
+	// Brute force enumerates 256³ ≈ 16.7M paths; the blades, the
+	// K-dominance prune of the config lists and the time-aware
+	// cost-to-go keep this search to 49 expansions.
 	if got.Expanded > 500 {
 		t.Errorf("search expanded %d nodes; pruning ineffective", got.Expanded)
 	}
 
 	// The deterministic work counts of §5.3's two inputs (sec53's "ESG
 	// expansions" column): a change here is a change to the search itself.
-	reg := profile.Table3Registry()
-	seq := []string{profile.Deblur, profile.SuperResolution, profile.BackgroundRemoval,
-		profile.Segmentation}
-	for g, want := range map[int]int{3: 2455, 4: 6712} {
-		var gslo time.Duration
-		for _, fn := range seq[:g] {
-			gslo += reg.MustLookup(fn).BaseExec
-		}
-		res := Search(SearchInput{Tables: tablesFor(o, seq[:g]...), GSLO: gslo, K: DefaultK})
-		if res.Expanded != want {
+	for g, want := range map[int]int{3: 18, 4: 3009} {
+		if res := Search(sec53Input(o, g)); res.Expanded != want {
 			t.Errorf("group %d: expanded %d nodes, want %d", g, res.Expanded, want)
 		}
 	}
+}
+
+// FuzzSearch checks Search against the exhaustive oracle on SmallSpace:
+// 1–4 stages drawn from Table 3, a target of up to 6.5 s in 100 µs steps,
+// K of 1–8, a first-stage batch bound, one of five filters and a hop of
+// 0–3 ms. Paths and Feasible must match exactly.
+func FuzzSearch(f *testing.F) {
+	// pick lists the stages' Table-3 indexes in base 6, least significant
+	// first (0 super-resolution, 1 segmentation, 2 deblur,
+	// 3 classification, 4 background removal, 5 depth recognition).
+	f.Add(uint8(2), uint32(0+2*6+3*36), uint16(5520), uint8(4), uint8(0), uint8(0), uint8(2))       // 3 stages near L
+	f.Add(uint8(3), uint32(0+1*6+2*36+3*216), uint16(8450), uint8(5), uint8(3), uint8(0), uint8(2)) // 4 stages
+	f.Add(uint8(2), uint32(1+2*6+0*36), uint16(10), uint8(4), uint8(4), uint8(1), uint8(0))         // infeasible 1 ms target
+	f.Add(uint8(0), uint32(4), uint16(9000), uint8(7), uint8(0), uint8(0), uint8(1))                // m = 1
+	f.Add(uint8(1), uint32(5+2*6), uint16(30000), uint8(2), uint8(2), uint8(3), uint8(1))           // batch 4 only, bound 2: stage 0 over-constrained
+	f.Add(uint8(2), uint32(3+3*6+3*36), uint16(30000), uint8(4), uint8(1), uint8(4), uint8(3))      // the filter admits nothing
+	// Super-resolution twice, whole GPUs only, at its two fastest times
+	// summed: three feasible paths, two of them tied on cost and time,
+	// under K = 8, so the kept set never fills.
+	f.Add(uint8(1), uint32(0), uint16(1306), uint8(7), uint8(0), uint8(2), uint8(0))
+	o := smallOracle()
+	names := profile.Table3Registry().Names()
+	filters := []func(profile.Config) bool{
+		nil,
+		func(c profile.Config) bool { return c.Batch == 1 }, // no batching
+		func(c profile.Config) bool { return c.GPU == 4 },   // no GPU sharing: SmallSpace's whole GPU
+		func(c profile.Config) bool { return c.Batch == 4 }, // empty under a first-stage bound below 4
+		func(profile.Config) bool { return false },          // admits nothing
+	}
+	f.Fuzz(func(t *testing.T, stages uint8, pick uint32, gslo uint16, k, maxBatch, filter, hop uint8) {
+		fns := make([]string, 1+int(stages)%4)
+		for i := range fns {
+			fns[i] = names[pick%uint32(len(names))]
+			pick /= uint32(len(names))
+		}
+		in := SearchInput{
+			Tables:        tablesFor(o, fns...),
+			GSLO:          time.Duration(gslo) * 100 * time.Microsecond,
+			K:             1 + int(k)%8,
+			MaxFirstBatch: int(maxBatch) % 6, // 0 = unbounded
+			Filter:        filters[int(filter)%len(filters)],
+			Hop:           time.Duration(hop%4) * time.Millisecond,
+		}
+		got, want := Search(in), BruteForceSearch(in)
+		if got.Feasible != want.Feasible || !reflect.DeepEqual(got.Paths, want.Paths) {
+			t.Fatalf("fns %v, gslo %v, K %d, maxBatch %d, filter %d, hop %v: Search %+v, oracle %+v",
+				fns, in.GSLO, in.K, in.MaxFirstBatch, int(filter)%len(filters), in.Hop, got, want)
+		}
+	})
+}
+
+// cheapestCompletion returns, by enumeration, the lowest cost of running
+// the stages of lists in order, each after a hop, within budget; ok is
+// false when nothing fits.
+func cheapestCompletion(lists [][]profile.Estimate, hop, budget time.Duration) (best units.Money, ok bool) {
+	if len(lists) == 0 {
+		return 0, true
+	}
+	for i := range lists[0] {
+		e := &lists[0][i]
+		rest := budget - hop - e.Time
+		if rest < 0 {
+			break // latency-ascending
+		}
+		if c, fits := cheapestCompletion(lists[1:], hop, rest); fits && (!ok || e.JobCost+c < best) {
+			best, ok = e.JobCost+c, true
+		}
+	}
+	return best, ok
+}
+
+// costToGoSpec is costToGo's definition, evaluated over lists (each stage
+// after a hop) by scanning: the cheapest config of every stage but the
+// last, plus the cheapest last-stage config that fits budget once the hops
+// and the other stages' fastest configs are paid.
+func costToGoSpec(lists [][]profile.Estimate, hop, budget time.Duration) units.Money {
+	var bound units.Money
+	budget -= time.Duration(len(lists)) * hop
+	for _, list := range lists[:len(lists)-1] {
+		fastest, cheapest := list[0].Time, list[0].JobCost
+		for _, e := range list {
+			fastest, cheapest = min(fastest, e.Time), min(cheapest, e.JobCost)
+		}
+		budget -= fastest
+		bound += cheapest
+	}
+	var last units.Money = -1
+	for _, e := range lists[len(lists)-1] {
+		if e.Time <= budget && (last < 0 || e.JobCost < last) {
+			last = e.JobCost
+		}
+	}
+	return bound + last
+}
+
+// TestCostToGoBound checks A*'s cost-to-go against enumeration on random
+// SmallSpace suffixes: for a path that has used time t of the target, the
+// bound is its definition evaluated over the unpruned admitted lists,
+// never exceeds the cheapest completion of the stages left, equals it when
+// one stage remains, and never falls below the time-agnostic minCostAfter
+// it replaced. The times a path has used ascend, as runLoop passes them.
+func TestCostToGoBound(t *testing.T) {
+	o := smallOracle()
+	names := profile.Table3Registry().Names()
+	filters := []func(profile.Config) bool{
+		nil,
+		func(c profile.Config) bool { return c.Batch == 1 },
+		func(c profile.Config) bool { return c.GPU == 4 },
+		func(profile.Config) bool { return false }, // one fallback config per stage
+	}
+	rng := rand.New(rand.NewSource(4))
+	s := NewSearcher()
+	exact := 0
+	for trial := 0; trial < 300; trial++ {
+		m := 2 + rng.Intn(3) // a first stage, then one to three left
+		fns := make([]string, m)
+		for i := range fns {
+			fns[i] = names[rng.Intn(len(names))]
+		}
+		in := SearchInput{
+			Tables: tablesFor(o, fns...),
+			K:      1 + rng.Intn(5),
+			Hop:    time.Duration(rng.Intn(3)) * time.Millisecond,
+			Filter: filters[rng.Intn(len(filters))],
+		}
+		s.prepareLists(in, m, in.K)
+		s.prepareBounds(in.Hop, m)
+		i := 1 + rng.Intn(m-1)
+		slack := time.Duration(rng.Int63n(int64(3 * time.Second)))
+		gslo := time.Duration(rng.Int63n(int64(time.Second))) + s.minTimeAfter[i] + slack
+		used := []time.Duration{gslo - s.minTimeAfter[i]} // only the fastest completion fits
+		for len(used) < 6 {
+			used = append(used, gslo-s.minTimeAfter[i]-time.Duration(rng.Int63n(int64(slack)+1)))
+		}
+		slices.Sort(used)
+		h := s.costToGo(i, gslo)
+		for _, u := range used {
+			got := h.at(u)
+			spec := costToGoSpec(s.admitted[i:], in.Hop, gslo-u)
+			want, ok := cheapestCompletion(s.admitted[i:], in.Hop, gslo-u)
+			if got != spec || !ok || got > want || got < s.minCostAfter[i] || (i == m-1 && got != want) {
+				t.Fatalf("trial %d: %v from stage %d, %v left: bound %v, definition %v, cheapest completion %v (ok %v), time-agnostic %v",
+					trial, fns, i, gslo-u, got, spec, want, ok, s.minCostAfter[i])
+			}
+			if i == m-1 {
+				exact++
+			}
+		}
+	}
+	if exact == 0 {
+		t.Fatal("no trial had one stage left")
+	}
+}
+
+// sec53Input is §5.3's group-g search (g = 3 or 4): the first g functions
+// of its sequence at a target of their summed base execution times.
+func sec53Input(o *profile.Oracle, g int) SearchInput {
+	seq := []string{profile.Deblur, profile.SuperResolution, profile.BackgroundRemoval,
+		profile.Segmentation}[:g]
+	var gslo time.Duration
+	for _, fn := range seq {
+		gslo += profile.Table3Registry().MustLookup(fn).BaseExec
+	}
+	return SearchInput{Tables: tablesFor(o, seq...), GSLO: gslo, K: DefaultK}
 }
 
 func TestSearchRespectsFirstBatchBound(t *testing.T) {

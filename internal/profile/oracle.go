@@ -35,9 +35,6 @@ type FunctionTable struct {
 	MinTime time.Duration
 	// MinJobCost is the cheapest per-job cost over the space.
 	MinJobCost units.Money
-	// FastestJobCost is the per-job cost of the fastest configuration —
-	// used by the rscFastest bound in dual-blade pruning.
-	FastestJobCost units.Money
 
 	// batchBound is the precomputed QuantizeBatchBound answer per queue
 	// bound: batchBound[b] is the largest batch option <= b, for b in
@@ -99,13 +96,12 @@ func buildTable(fn *Function, space Space, pm pricing.Model) *FunctionTable {
 		return byCost[i].Time < byCost[j].Time
 	})
 	ft := &FunctionTable{
-		Fn:             fn,
-		ByLatency:      byLat,
-		ByJobCost:      byCost,
-		MinTime:        byLat[0].Time,
-		MinJobCost:     byCost[0].JobCost,
-		FastestJobCost: byLat[0].JobCost,
-		batchBound:     buildBatchBoundLUT(byLat),
+		Fn:         fn,
+		ByLatency:  byLat,
+		ByJobCost:  byCost,
+		MinTime:    byLat[0].Time,
+		MinJobCost: byCost[0].JobCost,
+		batchBound: buildBatchBoundLUT(byLat),
 	}
 	return ft
 }
@@ -226,18 +222,4 @@ func quantizeBatchBoundSearch(ests []Estimate, bound int) int {
 		return 0
 	}
 	return best
-}
-
-// MinTimeWithin returns the fastest time among configs with batch <=
-// maxBatch, with maxBatch <= 0 meaning unrestricted.
-func (ft *FunctionTable) MinTimeWithin(maxBatch int) time.Duration {
-	if maxBatch <= 0 {
-		return ft.MinTime
-	}
-	for _, e := range ft.ByLatency {
-		if e.Config.Batch <= maxBatch {
-			return e.Time
-		}
-	}
-	return ft.MinTime
 }
