@@ -586,7 +586,6 @@ func (c *Controller) processQueue(q *queue.AFW) {
 			return
 		}
 		plan := c.scheduler.Plan(c.env, q, c.engine.Now())
-		c.collector.RecordPlan(plan.Overhead, plan.PrePlanned, plan.ConfigMiss)
 		outcome := c.tryDispatch(q, plan, false)
 		c.lastAttempt[q.ID] = key
 		c.lastOutcome[q.ID] = outcome
@@ -615,6 +614,9 @@ func (c *Controller) deferWindowExpired(q *queue.AFW) bool {
 // start while containers of the function are busy or warming is deferred
 // instead (up to DeferFraction of the SLO), batching the queue meanwhile;
 // a background warm-up is kicked off so sustained pressure grows the pool.
+// The plan's statistics (overhead, pre-planned, miss) are recorded only
+// when it dispatches a task, so Fig. 10 and Table 4 count dispatched
+// planned tasks however often a queue is re-planned.
 func (c *Controller) tryDispatch(q *queue.AFW, plan sched.Plan, forced bool) dispatchStatus {
 	now := c.engine.Now()
 	sawDefer := false
@@ -631,6 +633,9 @@ func (c *Controller) tryDispatch(q *queue.AFW, plan sched.Plan, forced bool) dis
 			sawDefer = true
 			c.scaleOutWarm(q.FnID, inv)
 			continue
+		}
+		if !forced {
+			c.collector.RecordPlan(plan.Overhead, plan.PrePlanned, plan.ConfigMiss)
 		}
 		c.dispatch(q, cfg, inv, plan.Overhead, forced)
 		return dispatched
@@ -705,7 +710,12 @@ func (c *Controller) attemptKey(q *queue.AFW) recheckAttempt {
 
 // retryRecheck re-attempts every queue on the recheck list; queues stuck
 // past the recheck limit are force-dispatched with the scheduler's minimum
-// configuration to guarantee progress (§3.1).
+// configuration to guarantee progress (§3.1). While no invoker can hold the
+// smallest configuration, an attempt is blocked before it starts, so it
+// skips Plan and Place and only counts its recheck round. A listed queue's
+// head was planned when the queue was listed (only a dispatch moves it, and
+// a dispatch drops the queue), so skipping its re-plans cannot move a
+// charge a scheduler makes on a head's first Plan.
 func (c *Controller) retryRecheck() {
 	if len(c.recheck) == 0 {
 		return
@@ -727,8 +737,18 @@ func (c *Controller) retryRecheck() {
 			continue
 		}
 		c.lastAttempt[q.ID] = key
+		if c.clu.BestFit(profile.MinConfig.Resources()) == nil {
+			// No up invoker holds 1 vCPU + 1 vGPU, and every candidate and
+			// minimum configuration is at least that (Config.Valid), so
+			// neither the plan nor the forced dispatch could be placed.
+			// The round still counts, so the forced dispatch fires on the
+			// same round it would have.
+			c.lastOutcome[q.ID] = blocked
+			q.RecheckRounds++
+			kept = append(kept, q)
+			continue
+		}
 		plan := c.scheduler.Plan(c.env, q, c.engine.Now())
-		c.collector.RecordPlan(plan.Overhead, plan.PrePlanned, plan.ConfigMiss)
 		outcome := c.tryDispatch(q, plan, false)
 		c.lastOutcome[q.ID] = outcome
 		switch outcome {

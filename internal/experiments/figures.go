@@ -153,7 +153,7 @@ func Fig8(r *Runner) (*Table, error) {
 
 // Fig10 reproduces the scheduling-overhead distribution of ESG across the
 // three settings (paper Fig. 10): box statistics in milliseconds with the
-// default group size 3.
+// default group size 3, one sample (n) per task dispatched from a plan.
 func Fig10(r *Runner) (*Table, error) {
 	t := &Table{
 		ID:      "fig10",

@@ -80,12 +80,19 @@ type Result struct {
 	// left: its unfinished instances were cut off, not drained.
 	Truncated bool
 
-	// Scheduling diagnostics. Overheads is nil under the streaming sketch
+	// Scheduling diagnostics. Overheads (Fig. 10) holds one sample per
+	// task dispatched from a scheduler plan, that plan's charged overhead;
+	// forced minimum dispatches count only in ForcedMin, and a plan that
+	// dispatched nothing is not sampled, so re-planning a waiting queue
+	// never moves the series. Overheads is nil under the streaming sketch
 	// recorder, which summarizes into OverheadSummary instead.
 	Overheads       []time.Duration
 	OverheadSummary *stats.Box
 	Tasks           int
 	ForcedMin       int
+	// PrePlannedPlans counts the planned dispatches whose plan was
+	// pre-planned (Table 4's denominator) and ConfigMisses those among
+	// them whose preset batch exceeded the queue at dispatch.
 	PrePlannedPlans int
 	ConfigMisses    int
 	ColdStarts      int
@@ -293,7 +300,10 @@ func NewCollector(scheduler, workload, sloLevel string, apps []*workflow.App) *C
 // records anything.
 func (c *Collector) SetRecorder(r LatencyRecorder) { c.recorder = r }
 
-// RecordPlan notes one scheduler Plan call.
+// RecordPlan notes the plan behind one dispatched task: its charged
+// overhead and, for a pre-planned plan, whether its preset batch missed.
+// The controller calls it once per task dispatched from a scheduler plan,
+// not per Plan call, and never for a forced minimum dispatch.
 func (c *Collector) RecordPlan(overhead time.Duration, prePlanned, miss bool) {
 	c.recorder.ObserveOverhead(overhead)
 	if prePlanned {

@@ -17,7 +17,8 @@ type LatencyRecorder interface {
 	// ObserveInstance takes one finished-instance record (completed or
 	// abandoned, warm-up included and flagged) in completion order.
 	ObserveInstance(rec InstanceRecord)
-	// ObserveOverhead takes one scheduler Plan overhead sample.
+	// ObserveOverhead takes the overhead of the plan behind one
+	// dispatched task.
 	ObserveOverhead(d time.Duration)
 	// finalizeInto writes the recorder's view — Records/Overheads or their
 	// streaming stand-ins, per-app summaries, completion aggregates and

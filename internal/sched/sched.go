@@ -96,11 +96,12 @@ type Plan struct {
 	Candidates []profile.Config
 	// ConfigMiss marks a pre-planned configuration whose batch size
 	// exceeded the queue length at schedule time (Table 4); the candidate
-	// list already holds the clamped fallback.
+	// list already holds the clamped fallback. It is counted at dispatch:
+	// only a plan that dispatches a task records its miss.
 	ConfigMiss bool
 	// PrePlanned marks plans taken from a schedule fixed earlier (Orion at
 	// workflow start, Aquatope offline); only these count in the Table 4
-	// miss-rate denominator.
+	// miss-rate denominator, once per task they dispatch.
 	PrePlanned bool
 	// Overhead is the scheduling latency to charge on the simulated clock.
 	Overhead time.Duration
