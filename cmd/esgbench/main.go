@@ -20,6 +20,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"github.com/esg-sched/esg/internal/cli"
@@ -145,6 +146,15 @@ func main() {
 				st.Hits, st.Hits+st.Misses)
 		}
 		fmt.Fprintf(progress, "total wall time: %.1fs\n", time.Since(start).Seconds())
+	}
+	// A run cut off at its drain deadline left requests unmeasured, so its
+	// rows understate what they report: the tables are written, but the
+	// command fails.
+	if keys := r.Truncated(); len(keys) > 0 {
+		fmt.Fprintf(os.Stderr, "esgbench: %d run(s) hit the drain deadline with work left: %s\n",
+			len(keys), strings.Join(keys, ", "))
+		stopProfile()
+		os.Exit(1)
 	}
 }
 

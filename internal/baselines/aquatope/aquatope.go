@@ -48,25 +48,63 @@ type Scheduler struct {
 	Memo *TrainingMemo
 
 	plans map[int]baselines.Ladder // app index -> trained per-stage configs
+	// keys holds each app's training key once the first Plan has queued
+	// the apps' training in Memo.
+	keys []string
 }
 
 // TrainingMemo shares Aquatope's offline BO training across schedulers.
 // Entries are keyed by the full training-input signature — seed, training
 // shape, application structure, function profiles, configuration space,
 // pricing, noise and transfer model — so a hit is guaranteed to return
-// exactly the configurations local training would have produced. Safe for
-// concurrent use: the first scheduler to need a key trains it, concurrent
-// lookups of the same key wait for that result.
+// exactly the configurations local training would have produced.
+//
+// A scheduler's first Plan queues the training of every app; RunQueued
+// lets an idle goroutine (a runner worker between cells) train queued
+// keys, while Plan trains a key itself when nobody has claimed it. A Plan
+// that needs a key another goroutine is training trains other queued keys
+// meanwhile, and waits only when none is left: a Plan that reaches the
+// keys in a drainer's order would otherwise idle through each of the
+// drainer's trainings. Each key trains once, on whichever goroutine
+// claims it first. Safe for concurrent use.
 type TrainingMemo struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry
+	queue   []*memoEntry // registration order; claimed entries are skipped
 	hits    uint64
 	misses  uint64
 }
 
 type memoEntry struct {
-	done chan struct{}
-	cfgs []profile.Config
+	// train is the queued training, nil once a goroutine has claimed it,
+	// so a trained entry keeps nothing of the Env that queued it.
+	train  func() []profile.Config
+	looked bool // a Plan has looked the key up
+	done   chan struct{}
+	cfgs   []profile.Config
+}
+
+// claim takes the entry's training if nobody has; m.mu must be held.
+func (e *memoEntry) claim() func() []profile.Config {
+	train := e.train
+	e.train = nil
+	return train
+}
+
+// run trains a claimed entry and releases its waiters.
+func (e *memoEntry) run(train func() []profile.Config) {
+	e.cfgs = train()
+	close(e.done)
+}
+
+// trained reports whether the entry's configurations are ready.
+func (e *memoEntry) trained() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // NewTrainingMemo returns an empty shared training memo.
@@ -74,36 +112,84 @@ func NewTrainingMemo() *TrainingMemo {
 	return &TrainingMemo{entries: make(map[string]*memoEntry)}
 }
 
-// Stats returns the memo's aggregate counters. Which scheduler instance
-// records the miss for a shared key is execution-order-dependent under a
-// parallel runner, but the aggregate is not: once a grid has resolved,
-// misses equal the number of distinct training keys and hits the lookups
-// they saved — so the aggregate is the counter surfaced to users, never a
-// per-run export (the deterministic artifacts must stay byte-identical
-// between sequential and parallel runs).
+// Stats returns the memo's aggregate counters: each key's first lookup is
+// its miss, whoever trained it, and every later lookup a hit. Which
+// scheduler instance records the miss for a shared key is
+// execution-order-dependent under a parallel runner, but the aggregate is
+// not: once a grid has resolved, misses equal the number of distinct
+// training keys looked up and hits the lookups they saved — so the
+// aggregate is the counter surfaced to users, never a per-run export (the
+// deterministic artifacts must stay byte-identical between sequential and
+// parallel runs).
 func (m *TrainingMemo) Stats() sched.TrainingMemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return sched.TrainingMemoStats{Hits: m.hits, Misses: m.misses}
 }
 
-// cfgs returns the trained configurations for key, training at most once
-// per key via train.
-func (m *TrainingMemo) cfgs(key string, train func() []profile.Config) ([]profile.Config, bool) {
+// enqueue registers key's training without running it. A key already
+// registered keeps its entry.
+func (m *TrainingMemo) enqueue(key string, train func() []profile.Config) {
 	m.mu.Lock()
-	if e, ok := m.entries[key]; ok {
-		m.hits++
-		m.mu.Unlock()
-		<-e.done
-		return e.cfgs, true
+	defer m.mu.Unlock()
+	if _, ok := m.entries[key]; ok {
+		return
 	}
-	e := &memoEntry{done: make(chan struct{})}
+	e := &memoEntry{train: train, done: make(chan struct{})}
 	m.entries[key] = e
-	m.misses++
+	m.queue = append(m.queue, e)
+}
+
+// RunQueued trains the queued entries nobody has claimed, one at a time
+// on the calling goroutine, in the order they were queued, and returns
+// when none is left. It never waits on a key another goroutine is
+// training.
+func (m *TrainingMemo) RunQueued() {
+	for m.runNext() {
+	}
+}
+
+// runNext trains the oldest queued entry nobody has claimed, on the
+// calling goroutine, and reports whether there was one.
+func (m *TrainingMemo) runNext() bool {
+	m.mu.Lock()
+	var e *memoEntry
+	var train func() []profile.Config
+	for train == nil && len(m.queue) > 0 {
+		e, m.queue = m.queue[0], m.queue[1:]
+		train = e.claim()
+	}
 	m.mu.Unlock()
-	e.cfgs = train()
-	close(e.done)
-	return e.cfgs, false
+	if train == nil {
+		return false
+	}
+	e.run(train)
+	return true
+}
+
+// cfgs returns the trained configurations of a queued key, training them
+// on the calling goroutine when nobody has claimed the key. While another
+// goroutine trains the key, the caller trains other queued keys instead
+// of idling, and waits only once none is left.
+func (m *TrainingMemo) cfgs(key string) []profile.Config {
+	m.mu.Lock()
+	e := m.entries[key]
+	if e.looked {
+		m.hits++
+	} else {
+		e.looked = true
+		m.misses++
+	}
+	train := e.claim()
+	m.mu.Unlock()
+	if train != nil {
+		e.run(train)
+		return e.cfgs
+	}
+	for !e.trained() && m.runNext() {
+	}
+	<-e.done
+	return e.cfgs
 }
 
 // New returns an Aquatope scheduler with the paper's training shape.
@@ -133,15 +219,23 @@ func (s *Scheduler) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.
 	return ladder.Plan(q.Stage, q.Len())
 }
 
-// trainCached trains through the shared memo when one is attached.
+// trainCached trains through the shared memo when one is attached. The
+// first call queues every app's training there, so idle goroutines can
+// train the apps this scheduler has not reached yet. The queued closures
+// read only the scheduler's seed and training shape and the Env's static
+// parts (apps, registry, oracle, noise, transfer model).
 func (s *Scheduler) trainCached(env *sched.Env, appIndex int) []profile.Config {
 	if s.Memo == nil {
 		return s.train(env, appIndex)
 	}
-	cfgs, _ := s.Memo.cfgs(s.trainingKey(env, appIndex), func() []profile.Config {
-		return s.train(env, appIndex)
-	})
-	return cfgs
+	if s.keys == nil {
+		s.keys = make([]string, len(env.Apps))
+		for i := range env.Apps {
+			s.keys[i] = s.trainingKey(env, i)
+			s.Memo.enqueue(s.keys[i], func() []profile.Config { return s.train(env, i) })
+		}
+	}
+	return s.Memo.cfgs(s.keys[appIndex])
 }
 
 // trainingKey names everything train consumes, so equal keys imply

@@ -6,7 +6,10 @@
 package baselines_test
 
 import (
+	"reflect"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -336,6 +339,74 @@ func TestDeterministicTrainingAcrossInstances(t *testing.T) {
 	pb := b.Plan(e, q, 0)
 	if pa.Candidates[0] != pb.Candidates[0] {
 		t.Errorf("same-seed training diverged: %v vs %v", pa.Candidates[0], pb.Candidates[0])
+	}
+}
+
+// TestQueuedTrainingMatchesLocal shares one memo between three schedulers
+// planning concurrently, each over its own Env, while another goroutine
+// trains whatever their first Plans queue: every app must plan exactly as
+// a scheduler without a memo plans it, and each key's first lookup must be
+// its only miss.
+func TestQueuedTrainingMatchesLocal(t *testing.T) {
+	quick := func(memo *aquatope.TrainingMemo) *aquatope.Scheduler {
+		s := aquatope.New(42)
+		s.Bootstrap, s.Rounds, s.PerRound = 20, 5, 2
+		s.Memo = memo
+		return s
+	}
+	// plans returns every stage's plan for a full queue, app by app.
+	plans := func(s *aquatope.Scheduler, level workflow.SLOLevel) [][]sched.Plan {
+		e, qs := env(t, level)
+		out := make([][]sched.Plan, len(e.Apps))
+		for a, app := range e.Apps {
+			for st := 0; st < app.Len(); st++ {
+				q := qs.Get(a, st)
+				fill(q, app, a, e.Oracle.Space.MaxBatch(), e.SLOs[a])
+				out[a] = append(out[a], s.Plan(e, q, 0))
+			}
+		}
+		return out
+	}
+	want := plans(quick(nil), workflow.Moderate)
+
+	memo := aquatope.NewTrainingMemo()
+	stop := make(chan struct{})
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				memo.RunQueued()
+				runtime.Gosched()
+			}
+		}
+	}()
+	levels := []workflow.SLOLevel{workflow.Strict, workflow.Moderate, workflow.Relaxed}
+	got := make([][][]sched.Plan, len(levels))
+	var wg sync.WaitGroup
+	for i, level := range levels {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = plans(quick(memo), level)
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-drained
+
+	for i, level := range levels {
+		for a := range want {
+			if !reflect.DeepEqual(got[i][a], want[a]) {
+				t.Errorf("%v: app %d planned %v with the shared memo, %v without", level, a, got[i][a], want[a])
+			}
+		}
+	}
+	if st := memo.Stats(); st.Hits != 8 || st.Misses != 4 {
+		t.Errorf("memo stats = %+v, want 8 hits and 4 misses", st)
 	}
 }
 

@@ -133,6 +133,28 @@ func TestExpectedViolation(t *testing.T) {
 	}
 }
 
+func TestDot(t *testing.T) {
+	if dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
+		t.Errorf("dot product wrong")
+	}
+}
+
+func TestNormalDistributionFunctions(t *testing.T) {
+	if math.Abs(normalCDF(0)-0.5) > 1e-12 {
+		t.Errorf("Φ(0) = %v", normalCDF(0))
+	}
+	if math.Abs(normalCDF(1.6449)-0.95) > 1e-3 {
+		t.Errorf("Φ(1.6449) = %v", normalCDF(1.6449))
+	}
+	if math.Abs(normalPDF(0)-1/math.Sqrt(2*math.Pi)) > 1e-12 {
+		t.Errorf("φ(0) = %v", normalPDF(0))
+	}
+	// Symmetry.
+	if math.Abs(normalCDF(-2)+normalCDF(2)-1) > 1e-12 {
+		t.Errorf("CDF not symmetric")
+	}
+}
+
 // frozenGP is IncrementalGP's Add and Predict as they were before Mean and
 // PredictBatch existed: fresh slices per call and one scalar forward solve
 // per right-hand side. It is the reference the fast paths must match bit

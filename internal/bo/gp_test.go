@@ -1,18 +1,13 @@
-// Package bo implements the Bayesian-optimization machinery backing the
-// Aquatope baseline (§4.2): Gaussian-process regression with an RBF kernel
-// over normalized configuration features, plus the acquisition utilities
-// (expected constraint violation, exploration bonus) the offline trainer
-// uses to pick sample configurations.
 package bo
 
 import (
 	"fmt"
 	"math"
-
-	"github.com/esg-sched/esg/internal/mathx"
 )
 
-// GP is a Gaussian-process regressor with a radial-basis-function kernel
+// GP is the batch reference IncrementalGP's tests compare against: a
+// Gaussian-process regressor refit from scratch, with a
+// radial-basis-function kernel
 //
 //	k(a,b) = σf² · exp(−‖a−b‖² / (2ℓ²)) + σn²·1[a==b]
 //
@@ -26,7 +21,7 @@ type GP struct {
 
 	x     [][]float64
 	alpha []float64
-	chol  *mathx.Cholesky
+	chol  *Cholesky
 	meanY float64
 }
 
@@ -64,7 +59,7 @@ func FitGP(x [][]float64, y []float64, lengthScale float64) (*GP, error) {
 		meanY:       meanY,
 	}
 
-	k := mathx.NewMatrix(n, n)
+	k := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
 			v := gp.kernel(x[i], x[j])
@@ -75,7 +70,7 @@ func FitGP(x [][]float64, y []float64, lengthScale float64) (*GP, error) {
 			k.Set(j, i, v)
 		}
 	}
-	chol, err := mathx.NewCholesky(k)
+	chol, err := NewCholesky(k)
 	if err != nil {
 		return nil, fmt.Errorf("bo: kernel factorization failed: %w", err)
 	}
@@ -104,24 +99,11 @@ func (gp *GP) Predict(p []float64) (mu, sigma float64) {
 	for i := 0; i < n; i++ {
 		ks[i] = gp.kernel(p, gp.x[i])
 	}
-	mu = gp.meanY + mathx.Dot(ks, gp.alpha)
+	mu = gp.meanY + dot(ks, gp.alpha)
 	v := gp.chol.ForwardSolve(ks)
-	variance := gp.SignalVar + gp.NoiseVar - mathx.Dot(v, v)
+	variance := gp.SignalVar + gp.NoiseVar - dot(v, v)
 	if variance < 0 {
 		variance = 0
 	}
 	return mu, math.Sqrt(variance)
-}
-
-// ExpectedViolation returns E[max(0, X − limit)] for X ~ N(mu, sigma²):
-// the expected SLO violation the acquisition function penalizes.
-func ExpectedViolation(mu, sigma, limit float64) float64 {
-	if sigma <= 0 {
-		if mu > limit {
-			return mu - limit
-		}
-		return 0
-	}
-	z := (mu - limit) / sigma
-	return sigma * (mathx.NormalPDF(z) + z*mathx.NormalCDF(z))
 }

@@ -1,3 +1,8 @@
+// Package bo implements the Bayesian-optimization machinery backing the
+// Aquatope baseline (§4.2): Gaussian-process regression with an RBF kernel
+// over normalized configuration features, grown one observation at a
+// time, plus the expected constraint violation the offline trainer's
+// acquisition function penalizes.
 package bo
 
 import (
@@ -214,4 +219,27 @@ func dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
+}
+
+// ExpectedViolation returns E[max(0, X − limit)] for X ~ N(mu, sigma²):
+// the expected SLO violation the acquisition function penalizes.
+func ExpectedViolation(mu, sigma, limit float64) float64 {
+	if sigma <= 0 {
+		if mu > limit {
+			return mu - limit
+		}
+		return 0
+	}
+	z := (mu - limit) / sigma
+	return sigma * (normalPDF(z) + z*normalCDF(z))
+}
+
+// normalPDF is the standard normal density.
+func normalPDF(z float64) float64 {
+	return math.Exp(-0.5*z*z) / math.Sqrt(2*math.Pi)
+}
+
+// normalCDF is the standard normal cumulative distribution.
+func normalCDF(z float64) float64 {
+	return 0.5 * (1 + math.Erf(z/math.Sqrt2))
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/esg-sched/esg/internal/baselines/aquatope"
 	"github.com/esg-sched/esg/internal/sched"
 	"github.com/esg-sched/esg/internal/workflow"
 	"github.com/esg-sched/esg/internal/workload"
@@ -25,9 +26,10 @@ func detRunner(seed uint64, parallel int, plancache bool) *Runner {
 // renderArtifacts regenerates a cross-section of the evaluation — the ESG
 // overhead/ablation/K-sweep figures plus a mini comparison grid over the
 // non-ESG schedulers — into one string. Aquatope is exercised separately
-// (TestAquatopeDeterministicTraining): its offline BO training, about 2 s
-// for the four apps on every fresh runner, would dominate this test's
-// budget.
+// (TestAquatopeDeterministicTraining, and at a quick training shape
+// TestAquatopeGridParallelMatchesSequential): its offline BO training,
+// about 2 s for the four apps on every fresh runner, would dominate this
+// test's budget.
 func renderArtifacts(t *testing.T, r *Runner) string {
 	t.Helper()
 	var sb strings.Builder
@@ -108,6 +110,53 @@ func TestAquatopeDeterministicTraining(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("aquatope runs differ:\n%s\n%s", a, b)
+	}
+}
+
+// TestAquatopeGridParallelMatchesSequential runs fig6's three Aquatope
+// cells, at a quick training shape on the runner's shared memo, behind an
+// Orion cell, so a worker finishes a cell and then trains what the first
+// Aquatope cell queued. Which goroutine trains a key must change neither
+// a Result nor the memo's counters.
+func TestAquatopeGridParallelMatchesSequential(t *testing.T) {
+	run := func(parallel int) (string, sched.TrainingMemoStats) {
+		r := detRunner(11, parallel, false)
+		cells := []Cell{r.ComparisonCell(Orion, workload.Light, workflow.Strict)}
+		for _, s := range Settings() {
+			c := r.ComparisonCell(Aquatope, s.Level, s.SLO)
+			c.Make = func() (sched.Scheduler, error) {
+				aq := aquatope.New(r.Seed)
+				aq.Bootstrap, aq.Rounds, aq.PerRound = 20, 5, 2
+				aq.Memo = r.aquatopeMemo
+				return aq, nil
+			}
+			cells = append(cells, c)
+		}
+		if err := r.Resolve(cells...); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, c := range cells {
+			res, err := r.cached(c.Key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb.WriteString(res.Summary() + "\n")
+		}
+		return sb.String(), r.AquatopeMemoStats()
+	}
+	seq, seqStats := run(1)
+	if want := (sched.TrainingMemoStats{Hits: 8, Misses: 4}); seqStats != want {
+		t.Errorf("sequential memo stats %+v, want %+v", seqStats, want)
+	}
+	for _, parallel := range []int{2, 4} {
+		par, parStats := run(parallel)
+		if par != seq {
+			t.Errorf("-parallel %d differs from sequential:\n--- sequential ---\n%s--- parallel ---\n%s", parallel, seq, par)
+		}
+		if parStats != seqStats {
+			t.Errorf("-parallel %d memo stats %+v, sequential %+v", parallel, parStats, seqStats)
+		}
 	}
 }
 

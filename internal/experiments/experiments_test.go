@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/esg-sched/esg/internal/controller"
 	"github.com/esg-sched/esg/internal/profile"
 	"github.com/esg-sched/esg/internal/sched"
 	"github.com/esg-sched/esg/internal/workflow"
@@ -55,6 +58,26 @@ func TestRunnerCachesResults(t *testing.T) {
 	}
 	if a != b {
 		t.Errorf("cache miss on identical scenario")
+	}
+}
+
+// TestRunnerListsTruncatedCells checks that a cell cut off at its drain
+// deadline is listed and a cell that drained is not.
+func TestRunnerListsTruncatedCells(t *testing.T) {
+	r := smokeRunner()
+	r.Parallel = 2
+	cut := r.ComparisonCell(ESG, workload.Light, workflow.Relaxed)
+	cut.Key = "ESG/light/relaxed/cut"
+	cut.Tune = func(c *controller.Config) { c.DrainTimeout = time.Nanosecond }
+	whole := r.ComparisonCell(ESG, workload.Light, workflow.Moderate)
+	if got := r.Truncated(); len(got) != 0 {
+		t.Errorf("Truncated() = %v before any run", got)
+	}
+	if err := r.Resolve(whole, cut); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Truncated(), []string{cut.Key}; !slices.Equal(got, want) {
+		t.Errorf("Truncated() = %v, want %v", got, want)
 	}
 }
 

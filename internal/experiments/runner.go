@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -105,8 +106,11 @@ type Runner struct {
 	// aquatopeMemo shares Aquatope's scale-independent offline BO
 	// training across the runner's cells (the trained configurations
 	// depend on the apps and profiles, never on the workload setting), so
-	// a grid pays the training (~0.5 s per application on one core) once
-	// per application instead of once per cell.
+	// a grid pays the training (0.4–0.5 s per application on one core)
+	// once per application instead of once per cell. The first Aquatope
+	// Plan queues every application; with Parallel > 1 a worker that
+	// finishes a cell trains queued applications before its next cell,
+	// so the training spreads over the pool.
 	aquatopeMemo *aquatope.TrainingMemo
 }
 
@@ -244,6 +248,9 @@ func (r *Runner) Resolve(cells ...Cell) error {
 					for w := range jobs {
 						w.st.res, w.st.err = r.runCell(w.cell)
 						close(w.st.done)
+						// Between cells, train the Aquatope apps a
+						// running cell has queued but not reached.
+						r.aquatopeMemo.RunQueued()
 					}
 				}()
 			}
@@ -309,6 +316,25 @@ func (r *Runner) cached(key string) (*metrics.Result, error) {
 	}
 	<-st.done
 	return st.res, st.err
+}
+
+// Truncated returns the sorted keys of the resolved cells whose run hit its
+// drain deadline with work left (Result.Truncated).
+func (r *Runner) Truncated() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var keys []string
+	for key, st := range r.states {
+		select {
+		case <-st.done:
+			if st.res != nil && st.res.Truncated {
+				keys = append(keys, key)
+			}
+		default: // still running
+		}
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Result runs (or returns the cached result of) one scenario.
