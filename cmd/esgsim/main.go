@@ -70,7 +70,7 @@ func main() {
 	tr := workload.Generate(lv, *requests, len(workflow.EvaluationApps()), rng.New(*seed))
 
 	start := time.Now()
-	res, err := controller.Run(cfg, s, tr)
+	res, err := controller.Run(cfg, s, workload.NewTraceSource(tr))
 	if err != nil {
 		fatal(err)
 	}

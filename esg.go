@@ -326,5 +326,5 @@ func GenerateCompressedTrace(level Level, speedup float64, n, apps int, seed uin
 // metrics. Zero fields of cfg take the paper's defaults (16-node cluster,
 // Table 3 functions, the four evaluation apps, 256-config space).
 func Run(cfg RunConfig, s Scheduler, tr *Trace) (*Result, error) {
-	return controller.Run(cfg, s, tr)
+	return controller.Run(cfg, s, workload.NewTraceSource(tr))
 }

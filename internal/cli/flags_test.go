@@ -100,30 +100,31 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	bad := map[string][]string{
-		"unknown scenario":          {"-scenario", "bogus"},
-		"negative nodes":            {"-scenario", "scale", "-nodes", "-1"},
-		"negative load":             {"-scenario", "scale", "-load", "-2"},
-		"negative requests":         {"-scenario", "scale", "-requests", "-10"},
-		"negative replan":           {"-scenario", "scale", "-replan", "-1"},
-		"non-positive scale":        {"-scale", "0"},
-		"chaos knob outside chaos":  {"-scenario", "scale", "-mtbf", "2s"},
-		"fail rate outside chaos":   {"-taskfail", "0.1"},
-		"negative mtbf":             {"-scenario", "chaos", "-mtbf", "-1s"},
-		"mttr without mtbf":         {"-scenario", "chaos", "-mttr", "1s"},
-		"task-fail rate above 1":    {"-scenario", "chaos", "-taskfail", "1.5"},
-		"straggler factor below 1":  {"-scenario", "chaos", "-straggler", "0.1", "-stragglerfactor", "0.5"},
-		"negative straggler rate":   {"-scenario", "chaos", "-straggler", "-0.1"},
-		"cold-fail rate below zero": {"-scenario", "chaos", "-coldfail", "-1"},
-		"arrival outside planet":    {"-scenario", "scale", "-arrival", "diurnal"},
-		"arrival on paper default":  {"-arrival", "burst"},
-		"unknown arrival shape":     {"-scenario", "planet", "-arrival", "sawtooth"},
-		"replan on planet":          {"-scenario", "planet", "-replan", "2"},
-		"chaos knob on planet":      {"-scenario", "planet", "-mtbf", "2s"},
-		"sched on paper default":    {"-sched", "GSwarm"},
-		"sched on paper explicit":   {"-scenario", "paper", "-sched", "ESG"},
-		"sched with empty element":  {"-scenario", "scale", "-sched", "ESG,,GSwarm"},
-		"sched trailing comma":      {"-scenario", "scale", "-sched", "ESG,"},
-		"sched only whitespace":     {"-scenario", "scale", "-sched", " "},
+		"unknown scenario":           {"-scenario", "bogus"},
+		"negative nodes":             {"-scenario", "scale", "-nodes", "-1"},
+		"negative load":              {"-scenario", "scale", "-load", "-2"},
+		"negative requests":          {"-scenario", "scale", "-requests", "-10"},
+		"negative replan":            {"-scenario", "scale", "-replan", "-1"},
+		"non-positive scale":         {"-scale", "0"},
+		"chaos knob outside chaos":   {"-scenario", "scale", "-mtbf", "2s"},
+		"fail rate outside chaos":    {"-taskfail", "0.1"},
+		"negative mtbf":              {"-scenario", "chaos", "-mtbf", "-1s"},
+		"mttr without mtbf":          {"-scenario", "chaos", "-mttr", "1s"},
+		"task-fail rate above 1":     {"-scenario", "chaos", "-taskfail", "1.5"},
+		"straggler factor below 1":   {"-scenario", "chaos", "-straggler", "0.1", "-stragglerfactor", "0.5"},
+		"straggler factor overflows": {"-scenario", "chaos", "-straggler", "0.05", "-stragglerfactor", "1e12"},
+		"negative straggler rate":    {"-scenario", "chaos", "-straggler", "-0.1"},
+		"cold-fail rate below zero":  {"-scenario", "chaos", "-coldfail", "-1"},
+		"arrival outside planet":     {"-scenario", "scale", "-arrival", "diurnal"},
+		"arrival on paper default":   {"-arrival", "burst"},
+		"unknown arrival shape":      {"-scenario", "planet", "-arrival", "sawtooth"},
+		"replan on planet":           {"-scenario", "planet", "-replan", "2"},
+		"chaos knob on planet":       {"-scenario", "planet", "-mtbf", "2s"},
+		"sched on paper default":     {"-sched", "GSwarm"},
+		"sched on paper explicit":    {"-scenario", "paper", "-sched", "ESG"},
+		"sched with empty element":   {"-scenario", "scale", "-sched", "ESG,,GSwarm"},
+		"sched trailing comma":       {"-scenario", "scale", "-sched", "ESG,"},
+		"sched only whitespace":      {"-scenario", "scale", "-sched", " "},
 	}
 	for name, args := range bad {
 		if err := parse(t, args...); err == nil {

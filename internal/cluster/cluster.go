@@ -164,15 +164,6 @@ func (c *Cluster) HomeInvoker(key string) *Invoker {
 	return c.Invokers[int(rng.Hash64(key)%uint64(len(c.Invokers)))]
 }
 
-// TotalCapacity returns the summed node capacities.
-func (c *Cluster) TotalCapacity() units.Resources {
-	var r units.Resources
-	for _, inv := range c.Invokers {
-		r = r.Add(inv.Capacity)
-	}
-	return r
-}
-
 // TotalFree returns the summed free resources. Down invokers contribute
 // nothing: their capacity is unreachable until they recover.
 func (c *Cluster) TotalFree() units.Resources {

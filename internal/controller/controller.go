@@ -21,6 +21,7 @@ import (
 	"github.com/esg-sched/esg/internal/rng"
 	"github.com/esg-sched/esg/internal/sched"
 	"github.com/esg-sched/esg/internal/simulate"
+	"github.com/esg-sched/esg/internal/units"
 	"github.com/esg-sched/esg/internal/workflow"
 	"github.com/esg-sched/esg/internal/workload"
 )
@@ -114,9 +115,9 @@ type Config struct {
 
 	// Faults declares the run's failure model (invoker MTBF/MTTR churn,
 	// transient task failures, cold-start failures, stragglers). The zero
-	// value injects nothing and leaves every hot path untouched; a
-	// non-zero spec drives all randomness from dedicated streams derived
-	// from Seed, so fault schedules replay bit-identically.
+	// value builds no injector: dispatch draws no fault and no outage is
+	// scheduled. A non-zero spec drives all randomness from dedicated
+	// streams derived from Seed, so fault schedules replay bit-identically.
 	Faults fault.Spec
 	// RetryLimit is the per-job attempt budget under fault injection: a
 	// job whose task failed is re-enqueued with backoff until it has
@@ -281,25 +282,18 @@ type Controller struct {
 	jobPool []*queue.Job
 
 	// faults is the run's fault injector, nil when the spec injects
-	// nothing — the nil check keeps every fault branch off the
-	// zero-fault hot path. flights tracks in-flight tasks per invoker
-	// (only under fault injection) so a crash can abort and re-enqueue
-	// them; flightPool recycles the tracking structs.
+	// nothing. flights tracks every in-flight task per invoker, so a
+	// crash can abort and re-enqueue them; flightPool recycles the
+	// tracking structs together with their bound landing callbacks.
 	faults     *fault.Injector
 	flights    [][]*flight
 	flightPool []*flight
 }
 
-// New prepares a run of scheduler s over trace tr.
-func New(cfg Config, s sched.Scheduler, tr *workload.Trace) (*Controller, error) {
-	return NewSource(cfg, s, workload.NewTraceSource(tr))
-}
-
-// NewSource prepares a run of scheduler s over a streaming request source.
-// A TraceSource-driven run is byte-identical to the equivalent New run; a
-// generated Stream never materializes, so request counts in the millions
-// cost no memory.
-func NewSource(cfg Config, s sched.Scheduler, src workload.Source) (*Controller, error) {
+// New prepares a run of scheduler s over a request source. A materialized
+// trace arrives wrapped in a workload.TraceSource; a generated Stream never
+// materializes, so request counts in the millions cost no memory.
+func New(cfg Config, s sched.Scheduler, src workload.Source) (*Controller, error) {
 	cfg = cfg.Defaulted()
 	clu, err := cluster.New(cfg.Cluster)
 	if err != nil {
@@ -347,6 +341,7 @@ func NewSource(cfg Config, s sched.Scheduler, src workload.Source) (*Controller,
 		predictors:  make([]*prewarm.Predictor, len(qs.Queues)),
 		lastInvoker: make([]int, len(qs.Queues)),
 		inRecheck:   make([]bool, len(qs.Queues)),
+		flights:     make([][]*flight, len(clu.Invokers)),
 	}
 	c.expectSpan, c.expectPerApp = src.Expect()
 	if cfg.StreamMetrics {
@@ -357,7 +352,6 @@ func NewSource(cfg Config, s sched.Scheduler, src workload.Source) (*Controller,
 	}
 	if cfg.Faults.Enabled() {
 		c.faults = fault.New(cfg.Faults, cfg.Seed)
-		c.flights = make([][]*flight, len(clu.Invokers))
 	}
 	if cfg.PlanCache {
 		if pc, ok := s.(sched.PlanCaching); ok {
@@ -385,18 +379,10 @@ func NewSource(cfg Config, s sched.Scheduler, src workload.Source) (*Controller,
 	return c, nil
 }
 
-// Run executes the emulation and returns its metrics.
-func Run(cfg Config, s sched.Scheduler, tr *workload.Trace) (*metrics.Result, error) {
-	c, err := New(cfg, s, tr)
-	if err != nil {
-		return nil, err
-	}
-	return c.Execute(), nil
-}
-
-// RunSource executes one emulation over a streaming request source.
-func RunSource(cfg Config, s sched.Scheduler, src workload.Source) (*metrics.Result, error) {
-	c, err := NewSource(cfg, s, src)
+// Run executes one emulation of scheduler s over a request source and
+// returns its metrics.
+func Run(cfg Config, s sched.Scheduler, src workload.Source) (*metrics.Result, error) {
+	c, err := New(cfg, s, src)
 	if err != nil {
 		return nil, err
 	}
@@ -437,14 +423,6 @@ func (c *Controller) Execute() *metrics.Result {
 	res.Truncated = c.truncated
 	return res
 }
-
-// Truncated reports whether the run hit the drain deadline with work left.
-func (c *Controller) Truncated() bool { return c.truncated }
-
-// InstanceLivePeak returns the high-water count of in-flight instances —
-// the number that bounds a streaming run's memory, independent of the
-// request count.
-func (c *Controller) InstanceLivePeak() int { return c.instLivePeak }
 
 // scheduleNextArrival pulls one request from the source and schedules its
 // arrival on its reserved tie-break slot; the arrival event pulls the next
@@ -809,11 +787,12 @@ func (c *Controller) putJobBuf(buf []*queue.Job) {
 }
 
 // dispatch commits a task: claims resources and a container, charges cold
-// start, data transfer and scheduling overhead, samples the noisy execution
-// time, and schedules completion. Under fault injection the task's fate is
-// drawn here too — cold-start failure, transient failure, straggler
-// slowdown (with a timeout-based re-dispatch) — so every outcome is fixed
-// in dispatch order and replays deterministically.
+// start, input transfer and scheduling overhead, samples the noisy
+// execution time, and tracks the task as a flight whose one event lands it
+// (Controller.land). Under fault injection the task's fate is drawn here
+// too — cold-start failure, transient failure, straggler slowdown (with a
+// timeout-based re-dispatch) — so every outcome is fixed in dispatch order
+// and replays deterministically.
 func (c *Controller) dispatch(q *queue.AFW, cfg profile.Config, inv *cluster.Invoker, overhead time.Duration, forced bool) {
 	now := c.engine.Now()
 	jobs := q.TakeAppend(c.getJobBuf(), cfg.Batch)
@@ -869,57 +848,13 @@ func (c *Controller) dispatch(q *queue.AFW, cfg profile.Config, inv *cluster.Inv
 	c.planners[q.ID].ObserveDispatch(now)
 	c.ensureWarmPool(q.FnID)
 
-	if c.faults == nil {
-		if c.clu.Fabric != nil && transfer > 0 {
-			// With the data-movement model on, the handoff occupies the
-			// event heap as its own transfer event; execution is scheduled
-			// when the data has arrived. The completion time is exactly
-			// overhead+held either way. (Under fault injection below, the
-			// transfer stays folded into the single flight event so crash
-			// aborts keep their one cancellation point.)
-			c.engine.Transfer(overhead+coldPenalty+transfer, func() {
-				c.engine.After(exec, func() {
-					c.planners[q.ID].ObserveDuration(held)
-					c.chargeTask(jobs, res, held)
-					c.complete(q, jobs, cfg, inv, warm)
-				})
-			})
-			return
-		}
-		// Historical fast path: no flight tracking, no fault branches.
-		c.engine.After(overhead+held, func() {
-			c.planners[q.ID].ObserveDuration(held)
-			c.chargeTask(jobs, res, held)
-			c.complete(q, jobs, cfg, inv, warm)
-		})
-		return
+	f := c.newFlight(flight{q: q, jobs: jobs, res: res, invID: inv.ID, start: now,
+		held: held, kind: kind, abortAfter: abortAfter})
+	at := overhead + held
+	if kind != failNone {
+		at = overhead + abortAfter
 	}
-	f := c.newFlight(q, jobs, res, inv.ID, warm, now)
-	if kind == failNone {
-		c.engine.After(overhead+held, func() {
-			if f.aborted {
-				c.freeFlight(f) // a crash already handled this task
-				return
-			}
-			c.unlinkFlight(f)
-			c.planners[q.ID].ObserveDuration(held)
-			c.chargeTask(f.jobs, f.res, held)
-			jobs := f.jobs
-			f.jobs = nil
-			c.freeFlight(f)
-			c.complete(q, jobs, cfg, inv, warm)
-		})
-		return
-	}
-	c.engine.After(overhead+abortAfter, func() {
-		if f.aborted {
-			c.freeFlight(f)
-			return
-		}
-		c.unlinkFlight(f)
-		c.failTask(f, kind, abortAfter)
-		c.freeFlight(f)
-	})
+	c.engine.After(at, f.land)
 }
 
 // transferTime returns the input-transfer latency of a task: the worst
@@ -979,9 +914,9 @@ func (c *Controller) modelTransfer(q *queue.AFW, jobs []*queue.Job, inv *cluster
 // complete finishes a task: releases resources, returns the container to
 // the warm pool, advances each job's workflow instance, and enqueues
 // successor jobs.
-func (c *Controller) complete(q *queue.AFW, jobs []*queue.Job, cfg profile.Config, inv *cluster.Invoker, warm bool) {
+func (c *Controller) complete(q *queue.AFW, jobs []*queue.Job, res units.Resources, inv *cluster.Invoker) {
 	now := c.engine.Now()
-	inv.Release(cfg.Resources(), now)
+	inv.Release(res, now)
 	inv.FinishTask(q.FnID, now)
 	c.running--
 	c.stateVersion++

@@ -33,7 +33,7 @@ func lightTrace(n int, seed uint64) *workload.Trace {
 }
 
 func TestRunCompletesAllInstances(t *testing.T) {
-	res, err := Run(quickConfig(workflow.Moderate), core.New(), lightTrace(120, 3))
+	res, err := Run(quickConfig(workflow.Moderate), core.New(), workload.NewTraceSource(lightTrace(120, 3)))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestEveryJobScheduledExactlyOnce(t *testing.T) {
 	// exactly one task (Appendix A). Completion of all instances with no
 	// double-completion panic implies both.
 	cfg := quickConfig(workflow.Relaxed)
-	res, err := Run(cfg, core.New(), lightTrace(200, 7))
+	res, err := Run(cfg, core.New(), workload.NewTraceSource(lightTrace(200, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestEveryJobScheduledExactlyOnce(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	cfg := quickConfig(workflow.Moderate)
 	cfg.Noise = profile.Noise{Sigma: 0.05, Floor: 0.5}
-	a, err := Run(cfg, core.New(), lightTrace(100, 11))
+	a, err := Run(cfg, core.New(), workload.NewTraceSource(lightTrace(100, 11)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, core.New(), lightTrace(100, 11))
+	b, err := Run(cfg, core.New(), workload.NewTraceSource(lightTrace(100, 11)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,11 @@ func TestSLOLevelMonotonicity(t *testing.T) {
 	// Relaxed SLOs must never produce fewer hits than strict ones on the
 	// same trace and scheduler.
 	tr := lightTrace(150, 5)
-	strict, err := Run(quickConfig(workflow.Strict), core.New(), tr)
+	strict, err := Run(quickConfig(workflow.Strict), core.New(), workload.NewTraceSource(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	relaxed, err := Run(quickConfig(workflow.Relaxed), core.New(), lightTrace(150, 5))
+	relaxed, err := Run(quickConfig(workflow.Relaxed), core.New(), workload.NewTraceSource(lightTrace(150, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCostAttributionConserved(t *testing.T) {
 	cfg := quickConfig(workflow.Moderate)
 	cfg.WarmupFraction = -1 // negative disables: measure everything
 	cfg.WarmupTime = -1
-	res, err := Run(cfg, core.New(), lightTrace(80, 9))
+	res, err := Run(cfg, core.New(), workload.NewTraceSource(lightTrace(80, 9)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +118,13 @@ func TestCostAttributionConserved(t *testing.T) {
 
 func TestPrewarmReducesColdStarts(t *testing.T) {
 	tr := lightTrace(200, 13)
-	withPW, err := Run(quickConfig(workflow.Moderate), core.New(), tr)
+	withPW, err := Run(quickConfig(workflow.Moderate), core.New(), workload.NewTraceSource(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgNo := quickConfig(workflow.Moderate)
 	cfgNo.DisablePrewarm = true
-	withoutPW, err := Run(cfgNo, core.New(), lightTrace(200, 13))
+	withoutPW, err := Run(cfgNo, core.New(), workload.NewTraceSource(lightTrace(200, 13)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestPrewarmReducesColdStarts(t *testing.T) {
 
 func TestOrionMissesCounted(t *testing.T) {
 	cfg := quickConfig(workflow.Relaxed)
-	res, err := Run(cfg, orion.New(), lightTrace(150, 17))
+	res, err := Run(cfg, orion.New(), workload.NewTraceSource(lightTrace(150, 17)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestOrionMissesCounted(t *testing.T) {
 }
 
 func TestINFlessRuns(t *testing.T) {
-	res, err := Run(quickConfig(workflow.Moderate), infless.New(), lightTrace(100, 19))
+	res, err := Run(quickConfig(workflow.Moderate), infless.New(), workload.NewTraceSource(lightTrace(100, 19)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestFixedOverheadCharged(t *testing.T) {
 	cfg := quickConfig(workflow.Moderate)
 	cfg.Overhead = sched.OverheadFixed
 	cfg.FixedOverhead = 2 * time.Millisecond
-	res, err := Run(cfg, core.New(), lightTrace(60, 23))
+	res, err := Run(cfg, core.New(), workload.NewTraceSource(lightTrace(60, 23)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestFixedOverheadCharged(t *testing.T) {
 }
 
 func TestUtilizationBounds(t *testing.T) {
-	res, err := Run(quickConfig(workflow.Moderate), core.New(), lightTrace(100, 29))
+	res, err := Run(quickConfig(workflow.Moderate), core.New(), workload.NewTraceSource(lightTrace(100, 29)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestConfigDefaults(t *testing.T) {
 func TestRejectsInvalidCluster(t *testing.T) {
 	cfg := quickConfig(workflow.Moderate)
 	cfg.Cluster.Nodes = -1
-	if _, err := Run(cfg, core.New(), lightTrace(10, 1)); err == nil {
+	if _, err := Run(cfg, core.New(), workload.NewTraceSource(lightTrace(10, 1))); err == nil {
 		t.Errorf("negative node count accepted")
 	}
 }
@@ -213,7 +213,7 @@ func TestLatenciesAreBounded(t *testing.T) {
 	// With no noise and a light load, every measured latency must be at
 	// least the fastest possible critical path and below the drain cap.
 	cfg := quickConfig(workflow.Moderate)
-	res, err := Run(cfg, core.New(), lightTrace(120, 31))
+	res, err := Run(cfg, core.New(), workload.NewTraceSource(lightTrace(120, 31)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestAblationSchedulersComplete(t *testing.T) {
 		core.New(core.WithoutGPUSharing()),
 		core.New(core.WithoutBatching()),
 	} {
-		res, err := Run(quickConfig(workflow.Relaxed), s, lightTrace(80, 37))
+		res, err := Run(quickConfig(workflow.Relaxed), s, workload.NewTraceSource(lightTrace(80, 37)))
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -245,7 +245,7 @@ func TestAblationSchedulersComplete(t *testing.T) {
 func TestDrainDeadlineTruncationSurfaced(t *testing.T) {
 	// A run cut off at the drain deadline must say so in its Result, its
 	// summary and its JSON export; a run that drains says nothing.
-	res, err := Run(quickConfig(workflow.Moderate), core.New(), lightTrace(120, 3))
+	res, err := Run(quickConfig(workflow.Moderate), core.New(), workload.NewTraceSource(lightTrace(120, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestDrainDeadlineTruncationSurfaced(t *testing.T) {
 
 	cfg := quickConfig(workflow.Moderate)
 	cfg.DrainTimeout = time.Nanosecond
-	res, err = Run(cfg, core.New(), lightTrace(120, 3))
+	res, err = Run(cfg, core.New(), workload.NewTraceSource(lightTrace(120, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"github.com/esg-sched/esg/internal/cluster"
 	"github.com/esg-sched/esg/internal/core"
 	"github.com/esg-sched/esg/internal/fault"
 	"github.com/esg-sched/esg/internal/metrics"
+	"github.com/esg-sched/esg/internal/profile"
 	"github.com/esg-sched/esg/internal/workflow"
+	"github.com/esg-sched/esg/internal/workload"
 )
 
 // faultConfig is quickConfig plus a fault spec.
@@ -18,18 +21,17 @@ func faultConfig(fs fault.Spec) Config {
 	return cfg
 }
 
-// TestZeroFaultSpecKeepsHotPath pins the zero-fault contract at the
-// structural level: without a fault spec the controller builds no injector
-// and no flight tracking, so dispatch takes the historical path and a run
-// is event-for-event identical to one built before the fault engine
-// existed.
-func TestZeroFaultSpecKeepsHotPath(t *testing.T) {
-	c, err := New(quickConfig(workflow.Relaxed), core.New(), lightTrace(50, 1))
+// TestZeroFaultSpecBuildsNoInjector pins the zero-fault contract: without a
+// fault spec the controller builds no injector, so no fault is drawn, no
+// fault statistic is recorded and the fault trace stays empty. Dispatch
+// still tracks every task as a flight; only the injector is absent.
+func TestZeroFaultSpecBuildsNoInjector(t *testing.T) {
+	c, err := New(quickConfig(workflow.Relaxed), core.New(), workload.NewTraceSource(lightTrace(50, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.faults != nil || c.flights != nil {
-		t.Fatalf("zero fault spec built fault state: injector=%v flights=%v", c.faults, c.flights)
+	if c.faults != nil {
+		t.Fatalf("zero fault spec built an injector: %v", c.faults)
 	}
 	res := c.Execute()
 	if res.Faults.Any() {
@@ -37,6 +39,51 @@ func TestZeroFaultSpecKeepsHotPath(t *testing.T) {
 	}
 	if c.FaultTrace() != "" {
 		t.Fatalf("fault-free run produced a fault trace")
+	}
+}
+
+// TestQuietInjectorMatchesFaultFree checks that an injector which never
+// fires changes nothing: an MTBF of a million hours and a 1e-12 task
+// failure rate must reproduce the zero-spec Result byte for byte and record
+// no fault event, with the flat and the fabric transfer model, the plan
+// cache off and on. Faulted and fault-free runs share one dispatch shape,
+// so only the injector's own draws differ, and those come from streams the
+// rest of the run never reads.
+func TestQuietInjectorMatchesFaultFree(t *testing.T) {
+	quiet := fault.Spec{MTBF: 1e6 * time.Hour, MTTR: time.Second, TaskFailRate: 1e-12}
+	seeds := uint64(12)
+	if testing.Short() {
+		seeds = 1
+	}
+	for seed := uint64(1); seed <= seeds; seed++ {
+		cell := randomMiniCell(seed)
+		for _, fabric := range []bool{false, true} {
+			for _, plancache := range []bool{false, true} {
+				cfg := cell.config(plancache)
+				cfg.Noise = profile.DefaultNoise()
+				if fabric {
+					cfg.Cluster.Topology = cluster.Topology{PCIeMBps: 12000, NICMBps: 1250}
+					cfg.Registry = profile.Table3Registry().WithOutputFactor(1)
+				}
+				ref, err := Run(cfg, core.New(), workload.NewTraceSource(cell.trace))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Faults = quiet
+				c, err := New(cfg, core.New(), workload.NewTraceSource(cell.trace))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := c.Execute()
+				if trace := c.FaultTrace(); trace != "" {
+					t.Errorf("seed %d fabric=%v plancache=%v: quiet injector recorded faults:\n%s", seed, fabric, plancache, trace)
+				}
+				if resultJSON(t, ref) != resultJSON(t, got) {
+					t.Errorf("seed %d fabric=%v plancache=%v: quiet injector changed the result\nzero spec: %s\nquiet:     %s",
+						seed, fabric, plancache, ref.Summary(), got.Summary())
+				}
+			}
+		}
 	}
 }
 
@@ -49,7 +96,7 @@ func TestCrashRecoveryChurn(t *testing.T) {
 	cfg.WarmupFraction = -1 // measure everything: the accounting is exact
 	cfg.WarmupTime = -1
 	tr := lightTrace(150, 3)
-	c, err := New(cfg, core.New(), tr)
+	c, err := New(cfg, core.New(), workload.NewTraceSource(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +131,7 @@ func TestCrashRecoveryChurn(t *testing.T) {
 func TestTransientRetriesRecover(t *testing.T) {
 	cfg := faultConfig(fault.Spec{TaskFailRate: 0.3})
 	cfg.RetryLimit = 25
-	res, err := Run(cfg, core.New(), lightTrace(100, 5))
+	res, err := Run(cfg, core.New(), workload.NewTraceSource(lightTrace(100, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +155,7 @@ func TestTransientRetriesRecover(t *testing.T) {
 // and the run still drains instead of spinning forever.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	cfg := faultConfig(fault.Spec{TaskFailRate: 1})
-	res, err := Run(cfg, core.New(), lightTrace(60, 9))
+	res, err := Run(cfg, core.New(), workload.NewTraceSource(lightTrace(60, 9)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +179,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 func TestStragglersKilled(t *testing.T) {
 	cfg := faultConfig(fault.Spec{StragglerRate: 0.3, StragglerFactor: 50})
 	cfg.RetryLimit = 25
-	res, err := Run(cfg, core.New(), lightTrace(100, 11))
+	res, err := Run(cfg, core.New(), workload.NewTraceSource(lightTrace(100, 11)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +200,7 @@ func TestStragglersKilled(t *testing.T) {
 func TestColdStartFailures(t *testing.T) {
 	cfg := faultConfig(fault.Spec{ColdFailRate: 0.5})
 	cfg.RetryLimit = 40
-	res, err := Run(cfg, core.New(), lightTrace(80, 13))
+	res, err := Run(cfg, core.New(), workload.NewTraceSource(lightTrace(80, 13)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +224,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 	run := func(seed uint64) (*metrics.Result, string) {
 		cfg := faultConfig(fs)
 		cfg.Seed = seed
-		c, err := New(cfg, core.New(), lightTrace(120, 3))
+		c, err := New(cfg, core.New(), workload.NewTraceSource(lightTrace(120, 3)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +266,7 @@ func TestShardedLockstepFaults(t *testing.T) {
 		mk := func() (*metrics.Result, string) {
 			cfg := cell.config(false)
 			cfg.Faults = fs
-			c, err := New(cfg, core.New(), cell.trace)
+			c, err := New(cfg, core.New(), workload.NewTraceSource(cell.trace))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,13 +8,13 @@ import (
 	"github.com/esg-sched/esg/internal/units"
 )
 
-// This file is the controller's failure-and-recovery path: in-flight task
-// tracking, dispatch-time fault outcomes, invoker crash/recovery handling,
-// and the retry policy (capped exponential backoff with deterministic
-// jitter, per-job attempt budget). None of it runs when cfg.Faults is the
-// zero spec — c.faults stays nil and dispatch takes its historical path —
-// so a zero-fault run is event-for-event identical to one without the
-// fault engine.
+// This file is the controller's task lifecycle: every dispatched task is a
+// flight, tracked on its invoker until its one event (land) completes or
+// fails it. Around it sits the failure-and-recovery path: dispatch-time
+// fault outcomes, invoker crash/recovery handling, and the retry policy
+// (capped exponential backoff with deterministic jitter, per-job attempt
+// budget). With the zero fault spec no injector exists: no fault is drawn,
+// no outage is scheduled, and every flight lands as a completion.
 
 // failKind classifies a task outcome decided at dispatch time.
 type failKind uint8
@@ -26,34 +26,66 @@ const (
 	failStraggler          // straggler aborted at the re-dispatch timeout
 )
 
-// flight is one in-flight task under fault injection, tracked per invoker
-// so a crash can abort it. The simulation engine has no event
-// cancellation, so the task's pending completion/failure closure holds the
-// flight and self-suppresses via aborted when a crash got there first.
+// flight is one in-flight task, tracked per invoker so a crash can abort
+// it. The simulation engine has no event cancellation, so the task's one
+// pending event (land) holds the flight and self-suppresses via aborted
+// when a crash got there first.
 type flight struct {
-	q       *queue.AFW
-	jobs    []*queue.Job
-	res     units.Resources
-	invID   int
-	warm    bool
-	start   time.Duration // dispatch time (resources held from here)
-	slot    int           // index in flights[invID], maintained on swap-delete
-	aborted bool
+	q          *queue.AFW
+	jobs       []*queue.Job
+	res        units.Resources
+	invID      int
+	start      time.Duration // dispatch time (resources held from here)
+	held       time.Duration // cold start + input transfer + execution
+	kind       failKind      // the dispatch-time fault draw
+	abortAfter time.Duration // hold time before a drawn fault fires
+	slot       int           // index in flights[invID], maintained on swap-delete
+	aborted    bool
+	// land is the flight's event callback, c.land(f). It is bound once
+	// when the struct is allocated and kept across pool reuse, so tracking
+	// a task allocates no closure.
+	land func()
 }
 
-// newFlight tracks a dispatched task on its invoker.
-func (c *Controller) newFlight(q *queue.AFW, jobs []*queue.Job, res units.Resources, invID int, warm bool, start time.Duration) *flight {
+// newFlight tracks a dispatched task on its invoker, recycling a pooled
+// flight struct when one is free.
+func (c *Controller) newFlight(spec flight) *flight {
 	var f *flight
 	if n := len(c.flightPool); n > 0 {
 		f = c.flightPool[n-1]
 		c.flightPool = c.flightPool[:n-1]
 	} else {
 		f = &flight{}
+		f.land = func() { c.land(f) }
 	}
-	*f = flight{q: q, jobs: jobs, res: res, invID: invID, warm: warm, start: start,
-		slot: len(c.flights[invID])}
-	c.flights[invID] = append(c.flights[invID], f)
+	spec.slot = len(c.flights[spec.invID])
+	spec.land = f.land
+	*f = spec
+	c.flights[spec.invID] = append(c.flights[spec.invID], f)
 	return f
+}
+
+// land handles a flight's single completion-or-failure event: a flight a
+// crash already aborted is only freed; otherwise it leaves its invoker and
+// either fails (the dispatch-time draw fired) or completes.
+func (c *Controller) land(f *flight) {
+	if f.aborted {
+		c.freeFlight(f) // a crash already handled this task
+		return
+	}
+	c.unlinkFlight(f)
+	if f.kind != failNone {
+		c.failTask(f)
+		c.freeFlight(f)
+		return
+	}
+	q, jobs, res := f.q, f.jobs, f.res
+	c.planners[q.ID].ObserveDuration(f.held)
+	c.chargeTask(jobs, res, f.held)
+	inv := c.clu.Invokers[f.invID]
+	f.jobs = nil
+	c.freeFlight(f)
+	c.complete(q, jobs, res, inv)
 }
 
 // unlinkFlight removes a flight from its invoker's in-flight list
@@ -67,7 +99,7 @@ func (c *Controller) unlinkFlight(f *flight) {
 	c.flights[f.invID] = fl[:last]
 }
 
-// freeFlight recycles a flight struct once its pending closure has fired.
+// freeFlight recycles a flight struct once its event has fired.
 func (c *Controller) freeFlight(f *flight) {
 	f.q = nil
 	f.jobs = nil
@@ -75,10 +107,9 @@ func (c *Controller) freeFlight(f *flight) {
 }
 
 // chargeTask bills a task's resource-hold time to its jobs' instances,
-// split evenly as before. Charging happens at task termination (not
-// dispatch) so aborted tasks pay for the time they actually held — for
-// successful tasks the amount is exactly the historical dispatch-time
-// charge, keeping zero-fault artifacts byte-identical.
+// split evenly. Charging happens when the task ends, not at dispatch, so an
+// aborted task pays for the time it actually held and a completed one for
+// its whole hold.
 func (c *Controller) chargeTask(jobs []*queue.Job, res units.Resources, held time.Duration) {
 	cost := c.cfg.Pricing.TaskCost(res, held)
 	perJob := cost / units.Money(len(jobs))
@@ -111,7 +142,7 @@ func (c *Controller) crashInvoker(o fault.Outage) {
 	fl := c.flights[o.Invoker]
 	lost := len(fl)
 	for i, f := range fl {
-		f.aborted = true // the pending completion/failure closure self-suppresses
+		f.aborted = true // the flight's pending land event self-suppresses
 		inv.Release(f.res, now)
 		inv.AbortTask(f.q.FnID)
 		c.running--
@@ -152,9 +183,10 @@ func (c *Controller) requestWorkPass() {
 
 // failTask aborts an in-flight task whose dispatch-time fault draw fired:
 // resources release, the container is destroyed instead of returning warm,
-// the instances pay for the time held, and the jobs re-enqueue with
-// backoff.
-func (c *Controller) failTask(f *flight, kind failKind, heldFor time.Duration) {
+// the instances pay for the time held (abortAfter), and the jobs re-enqueue
+// with backoff.
+func (c *Controller) failTask(f *flight) {
+	kind, heldFor := f.kind, f.abortAfter
 	now := c.engine.Now()
 	inv := c.clu.Invokers[f.invID]
 	inv.Release(f.res, now)

@@ -91,11 +91,11 @@ func TestShardedLockstep(t *testing.T) {
 		cell := randomMiniCell(seed)
 		for name, mk := range schedulers {
 			for _, plancache := range []bool{false, true} {
-				ref, err := Run(cell.config(plancache), mk(), cell.trace)
+				ref, err := Run(cell.config(plancache), mk(), workload.NewTraceSource(cell.trace))
 				if err != nil {
 					t.Fatalf("seed %d %s: %v", seed, name, err)
 				}
-				got, err := Run(cell.config(plancache), mk(), cell.trace)
+				got, err := Run(cell.config(plancache), mk(), workload.NewTraceSource(cell.trace))
 				if err != nil {
 					t.Fatalf("seed %d %s rerun: %v", seed, name, err)
 				}

@@ -20,6 +20,7 @@ import (
 	"github.com/esg-sched/esg/internal/queue"
 	"github.com/esg-sched/esg/internal/sched"
 	"github.com/esg-sched/esg/internal/units"
+	"github.com/esg-sched/esg/internal/workload"
 )
 
 // hookedScheduler runs beforePlan ahead of every Plan call of the wrapped
@@ -110,7 +111,7 @@ var plainRecheckRuns = sync.OnceValues(func() ([]recheckRun, error) {
 		cell := randomMiniCell(seed)
 		for _, tc := range recheckCases() {
 			name := fmt.Sprintf("seed %d %s", seed, tc.name)
-			res, err := Run(cell.config(tc.plancache), tc.mk(), cell.trace)
+			res, err := Run(cell.config(tc.plancache), tc.mk(), workload.NewTraceSource(cell.trace))
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
@@ -188,7 +189,7 @@ func TestDiscardedPlanIsInert(t *testing.T) {
 	}
 	for _, r := range runs {
 		cell := randomMiniCell(r.seed)
-		twice, err := Run(cell.config(r.tc.plancache), discarding(r.tc.mk()), cell.trace)
+		twice, err := Run(cell.config(r.tc.plancache), discarding(r.tc.mk()), workload.NewTraceSource(cell.trace))
 		if err != nil {
 			t.Fatalf("%s discarding: %v", r.name, err)
 		}
@@ -201,14 +202,14 @@ func TestDiscardedPlanIsInert(t *testing.T) {
 		cfg := cell.config(tc.plancache)
 		cfg.Faults = fault.Spec{MTBF: 2 * time.Second, MTTR: 200 * time.Millisecond,
 			TaskFailRate: 0.02, ColdFailRate: 0.02, StragglerRate: 0.02}
-		plain, err := Run(cfg, tc.mk(), cell.trace)
+		plain, err := Run(cfg, tc.mk(), workload.NewTraceSource(cell.trace))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if plain.Faults.Crashes == 0 {
 			t.Errorf("%s: no invoker crashed", name)
 		}
-		twice, err := Run(cfg, discarding(tc.mk()), cell.trace)
+		twice, err := Run(cfg, discarding(tc.mk()), workload.NewTraceSource(cell.trace))
 		if err != nil {
 			t.Fatalf("%s discarding: %v", name, err)
 		}
@@ -230,7 +231,7 @@ func TestRecheckSkipsPlanWhenNothingFits(t *testing.T) {
 			wasted++
 		}
 	}}
-	c, err := New(cell.config(true), h, cell.trace)
+	c, err := New(cell.config(true), h, workload.NewTraceSource(cell.trace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func BenchmarkOverloadedCell(b *testing.B) {
 	plans, tasks := 0, 0
 	for i := 0; i < b.N; i++ {
 		h := &hookedScheduler{Scheduler: core.New(), beforePlan: func(*sched.Env, *queue.AFW, time.Duration) { plans++ }}
-		res, err := Run(cell.config(true), h, cell.trace)
+		res, err := Run(cell.config(true), h, workload.NewTraceSource(cell.trace))
 		if err != nil {
 			b.Fatal(err)
 		}

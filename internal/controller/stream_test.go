@@ -34,11 +34,11 @@ func lightStream(n int, seed uint64) *workload.Stream {
 func TestStreamRunMatchesTraceRun(t *testing.T) {
 	cfg := quickConfig(workflow.Moderate)
 	tr := workload.Generate(workload.Light, 300, 4, rng.New(9))
-	a, err := Run(cfg, core.New(), tr)
+	a, err := Run(cfg, core.New(), workload.NewTraceSource(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSource(cfg, core.New(), lightStream(300, 9))
+	b, err := Run(cfg, core.New(), lightStream(300, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,18 +55,17 @@ func TestInstanceLivePeakIndependentOfRequestCount(t *testing.T) {
 	cfg := quickConfig(workflow.Relaxed)
 	cfg.StreamMetrics = true
 	peak := func(n int) int {
-		c, err := NewSource(cfg, core.New(), lightStream(n, 21))
+		res, err := Run(cfg, core.New(), lightStream(n, 21))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := c.Execute()
 		if res.Unfinished != 0 {
 			t.Fatalf("n=%d: %d unfinished", n, res.Unfinished)
 		}
 		if res.TotalRecords != n {
 			t.Fatalf("n=%d: recorded %d", n, res.TotalRecords)
 		}
-		return c.InstanceLivePeak()
+		return res.InstanceLivePeak
 	}
 	small, large := peak(400), peak(1600)
 	if small == 0 {
@@ -83,7 +82,7 @@ func TestInstanceLivePeakIndependentOfRequestCount(t *testing.T) {
 func TestStreamMetricsDropPerSampleSeries(t *testing.T) {
 	cfg := quickConfig(workflow.Moderate)
 	cfg.StreamMetrics = true
-	res, err := RunSource(cfg, core.New(), lightStream(200, 5))
+	res, err := Run(cfg, core.New(), lightStream(200, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func TestArrivalShapesComplete(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := RunSource(cfg, core.New(), s)
+				res, err := Run(cfg, core.New(), s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,7 +136,7 @@ func BenchmarkStreamRun(b *testing.B) {
 	cfg.StreamMetrics = true
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := RunSource(cfg, core.New(), lightStream(800, 13))
+		res, err := Run(cfg, core.New(), lightStream(800, 13))
 		if err != nil {
 			b.Fatal(err)
 		}

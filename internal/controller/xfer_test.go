@@ -8,6 +8,7 @@ import (
 	"github.com/esg-sched/esg/internal/core"
 	"github.com/esg-sched/esg/internal/profile"
 	"github.com/esg-sched/esg/internal/workflow"
+	"github.com/esg-sched/esg/internal/workload"
 )
 
 // xferConfig enables the data-movement model on a quick test config:
@@ -22,7 +23,7 @@ func xferConfig(pcie, nic float64) Config {
 }
 
 func TestTransferModelChargesAndCounts(t *testing.T) {
-	res, err := Run(xferConfig(12000, 1250), core.New(), lightTrace(120, 3))
+	res, err := Run(xferConfig(12000, 1250), core.New(), workload.NewTraceSource(lightTrace(120, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestTransferModelChargesAndCounts(t *testing.T) {
 }
 
 func TestTransferModelOffIsSilent(t *testing.T) {
-	res, err := Run(quickConfig(workflow.Moderate), core.New(), lightTrace(120, 3))
+	res, err := Run(quickConfig(workflow.Moderate), core.New(), workload.NewTraceSource(lightTrace(120, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +65,11 @@ func TestTransferModelOffIsSilent(t *testing.T) {
 // one seed must agree on every transfer aggregate, not just the headline
 // metrics.
 func TestTransferModelDeterministic(t *testing.T) {
-	a, err := Run(xferConfig(12000, 1250), core.New(), lightTrace(150, 11))
+	a, err := Run(xferConfig(12000, 1250), core.New(), workload.NewTraceSource(lightTrace(150, 11)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(xferConfig(12000, 1250), core.New(), lightTrace(150, 11))
+	b, err := Run(xferConfig(12000, 1250), core.New(), workload.NewTraceSource(lightTrace(150, 11)))
 	if err != nil {
 		t.Fatal(err)
 	}

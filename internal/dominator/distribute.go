@@ -315,6 +315,3 @@ func (d *Distribution) RemainingSequence(stage int) (stages []int, quota float64
 	}
 	return stages, seqANL / den
 }
-
-// ANLOf returns the stage's average normalized length label.
-func (d *Distribution) ANLOf(stage int) float64 { return d.anl[stage] }

@@ -288,16 +288,16 @@ func (r *Runner) runCell(c Cell) (*metrics.Result, error) {
 	if c.Tune != nil {
 		c.Tune(&cfg)
 	}
-	var res *metrics.Result
-	if c.Source != nil {
-		res, err = controller.RunSource(cfg, s, c.Source())
-	} else {
-		tr := c.Trace
-		if tr == nil {
-			tr = r.Trace(c.Level)
-		}
-		res, err = controller.Run(cfg, s, tr)
+	var src workload.Source
+	switch {
+	case c.Source != nil:
+		src = c.Source()
+	case c.Trace != nil:
+		src = workload.NewTraceSource(c.Trace)
+	default:
+		src = workload.NewTraceSource(r.Trace(c.Level))
 	}
+	res, err := controller.Run(cfg, s, src)
 	if err != nil {
 		return nil, err
 	}

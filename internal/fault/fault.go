@@ -15,6 +15,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -38,9 +39,15 @@ type Spec struct {
 	ColdFailRate float64
 	// StragglerRate is the probability a task runs StragglerFactor× slow.
 	StragglerRate float64
-	// StragglerFactor is the straggler slowdown multiple (default 8).
+	// StragglerFactor is the straggler slowdown multiple (default 8, at
+	// most 1e6).
 	StragglerFactor float64
 }
+
+// maxStragglerFactor caps StragglerFactor so a task's slowed execution
+// stays a valid time.Duration: an hour-long execution times 1e6 is about
+// 114 years, inside the 292 years int64 nanoseconds hold.
+const maxStragglerFactor = 1e6
 
 // Enabled reports whether the spec injects any faults at all.
 func (s Spec) Enabled() bool {
@@ -83,6 +90,9 @@ func (s Spec) Validate() error {
 	}
 	if s.StragglerFactor < 0 || (s.StragglerFactor > 0 && s.StragglerFactor < 1) {
 		return fmt.Errorf("fault: straggler factor %g must be >= 1 (or 0 for the default)", s.StragglerFactor)
+	}
+	if s.StragglerFactor > maxStragglerFactor || math.IsNaN(s.StragglerFactor) {
+		return fmt.Errorf("fault: straggler factor %g must be at most %g (a slowed execution would overflow the clock)", s.StragglerFactor, maxStragglerFactor)
 	}
 	return nil
 }
@@ -188,12 +198,21 @@ func (in *Injector) Outages(nodes int, horizon time.Duration) []Outage {
 		src := rng.New(base + 0x9E3779B97F4A7C15*uint64(i+1))
 		t := src.ExpDuration(in.spec.MTBF)
 		for t < horizon {
-			up := t + src.ExpDuration(in.spec.MTTR)
+			up := addSat(t, src.ExpDuration(in.spec.MTTR))
 			out = append(out, Outage{Invoker: i, Down: t, Up: up})
-			t = up + src.ExpDuration(in.spec.MTBF)
+			t = addSat(up, src.ExpDuration(in.spec.MTBF))
 		}
 	}
 	return out
+}
+
+// addSat adds two non-negative durations, saturating at the largest
+// time.Duration instead of wrapping negative.
+func addSat(a, b time.Duration) time.Duration {
+	if b > math.MaxInt64-a {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // DrawTask draws one task's fault decision at dispatch time. The draw

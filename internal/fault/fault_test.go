@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -51,6 +52,7 @@ func TestSpecValidate(t *testing.T) {
 		{MTBF: time.Second, MTTR: time.Millisecond},
 		{TaskFailRate: 1, ColdFailRate: 0.5, StragglerRate: 0.1, StragglerFactor: 2},
 		{StragglerRate: 0.1}, // factor 0 selects the default
+		{StragglerRate: 0.1, StragglerFactor: maxStragglerFactor},
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {
@@ -65,7 +67,9 @@ func TestSpecValidate(t *testing.T) {
 		{TaskFailRate: 1.1},
 		{ColdFailRate: 2},
 		{StragglerRate: -1},
-		{StragglerRate: 0.1, StragglerFactor: 0.5}, // a speed-up, not a slowdown
+		{StragglerRate: 0.1, StragglerFactor: 0.5},  // a speed-up, not a slowdown
+		{StragglerRate: 0.1, StragglerFactor: 1e12}, // slowed executions overflow the clock
+		{StragglerRate: 0.1, StragglerFactor: math.NaN()},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -113,6 +117,29 @@ func TestOutagesPerInvokerIndependence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(byInv(small, 4), byInv(large, 4)) {
 		t.Fatalf("fleet size changed the schedules of invokers 0..3")
+	}
+}
+
+// TestOutagesMonotoneInMTBF pins the saturating schedule arithmetic: a
+// longer MTBF never yields more outages, up to the largest time.Duration,
+// where an exponential draw times the mean exceeds int64 nanoseconds and
+// used to wrap into a crash 1 ns later.
+func TestOutagesMonotoneInMTBF(t *testing.T) {
+	const horizon = 10 * time.Minute
+	prev := -1
+	for _, mtbf := range []time.Duration{
+		time.Second, time.Minute, time.Hour, 1e4 * time.Hour, 1e6 * time.Hour, math.MaxInt64,
+	} {
+		out := New(Spec{MTBF: mtbf, MTTR: time.Second}, 42).Outages(256, horizon)
+		if prev >= 0 && len(out) > prev {
+			t.Errorf("MTBF %v: %d outages, more than the %d of a shorter MTBF", mtbf, len(out), prev)
+		}
+		prev = len(out)
+		for _, o := range out {
+			if o.Down <= 0 || o.Up <= o.Down {
+				t.Fatalf("MTBF %v: malformed outage %+v", mtbf, o)
+			}
+		}
 	}
 }
 

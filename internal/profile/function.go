@@ -2,7 +2,6 @@ package profile
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/esg-sched/esg/internal/units"
@@ -94,25 +93,6 @@ func (f *Function) Exec(cfg Config) time.Duration {
 	tGPU := gpuPart * (1 + float64(shard-1)*f.GPUBatchSlope)
 
 	return time.Duration(tCPU + tGPU)
-}
-
-// PerJob returns the modelled per-job latency contribution: the whole task
-// time (each job in a batch completes when the task completes).
-func (f *Function) PerJob(cfg Config) time.Duration { return f.Exec(cfg) }
-
-// FastestExec returns the minimum execution time over the space, together
-// with the config achieving it. Used for the tLow bound in dual-blade
-// pruning.
-func (f *Function) FastestExec(s Space) (time.Duration, Config) {
-	best := time.Duration(math.MaxInt64)
-	var bestCfg Config
-	for _, cfg := range s.Configs() {
-		if t := f.Exec(cfg); t < best {
-			best = t
-			bestCfg = cfg
-		}
-	}
-	return best, bestCfg
 }
 
 // EffectiveGPUs returns how many of the config's vGPUs are actually used by

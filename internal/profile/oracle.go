@@ -161,12 +161,6 @@ func (ft *FunctionTable) LatencyAscending(maxBatch int) []Estimate {
 	return filterBatch(ft.ByLatency, maxBatch)
 }
 
-// JobCostAscending returns the estimates sorted by per-job cost with the
-// same batch filter.
-func (ft *FunctionTable) JobCostAscending(maxBatch int) []Estimate {
-	return filterBatch(ft.ByJobCost, maxBatch)
-}
-
 func filterBatch(ests []Estimate, maxBatch int) []Estimate {
 	if maxBatch <= 0 {
 		return ests

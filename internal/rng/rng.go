@@ -130,12 +130,17 @@ func (s *Source) Exp() float64 {
 }
 
 // ExpDuration returns an exponential duration with the given mean, floored
-// at 1ns so schedules always advance (mean <= 0 returns 0).
+// at 1ns so schedules always advance and saturated at the largest
+// time.Duration instead of wrapping (mean <= 0 returns 0).
 func (s *Source) ExpDuration(mean time.Duration) time.Duration {
 	if mean <= 0 {
 		return 0
 	}
-	d := time.Duration(s.Exp() * float64(mean))
+	x := s.Exp() * float64(mean)
+	if x >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	d := time.Duration(x)
 	if d < 1 {
 		d = 1
 	}

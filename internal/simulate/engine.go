@@ -18,9 +18,6 @@ type Engine struct {
 	queue []event
 	// Processed counts executed events (diagnostics).
 	Processed uint64
-	// Transfers counts data-movement events scheduled via Transfer
-	// (diagnostics; zero whenever the transfer model is disabled).
-	Transfers uint64
 }
 
 // New returns an engine at time zero.
@@ -70,15 +67,6 @@ func (e *Engine) After(d time.Duration, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// Transfer schedules fn to run when a data movement of duration d
-// completes: the handoff occupies time on the event heap like any other
-// event, and the engine counts it so runs can assert how much of the
-// schedule was spent moving data. Ordering semantics are exactly After's.
-func (e *Engine) Transfer(d time.Duration, fn func()) {
-	e.Transfers++
-	e.After(d, fn)
-}
-
 // Step executes the next event; it reports false when the queue is empty.
 func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
@@ -96,20 +84,6 @@ func (e *Engine) Run() {
 	for e.Step() {
 	}
 }
-
-// RunUntil executes events with time <= deadline, leaving later events
-// queued, and advances the clock to the deadline.
-func (e *Engine) RunUntil(deadline time.Duration) {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 type event struct {
 	at  time.Duration

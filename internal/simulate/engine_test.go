@@ -75,27 +75,6 @@ func TestNegativeAfterClamps(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var ran []int
-	e.At(10*time.Millisecond, func() { ran = append(ran, 1) })
-	e.At(30*time.Millisecond, func() { ran = append(ran, 2) })
-	e.RunUntil(20 * time.Millisecond)
-	if len(ran) != 1 {
-		t.Errorf("ran %v, want just event 1", ran)
-	}
-	if e.Now() != 20*time.Millisecond {
-		t.Errorf("clock = %v, want 20ms", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d", e.Pending())
-	}
-	e.Run()
-	if len(ran) != 2 {
-		t.Errorf("second event never ran")
-	}
-}
-
 func TestStepAndProcessed(t *testing.T) {
 	e := New()
 	e.At(time.Millisecond, func() {})

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -97,69 +96,6 @@ func BoxOf(xs []float64) Box {
 func (b Box) String() string {
 	return fmt.Sprintf("n=%d min=%.3f q1=%.3f med=%.3f q3=%.3f max=%.3f mean=%.3f",
 		b.N, b.Min, b.Q1, b.Median, b.Q3, b.Max, b.Mean)
-}
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Bins     []int
-	Under    int
-	Over     int
-	binWidth float64
-}
-
-// NewHistogram builds a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 || hi <= lo {
-		// Caller bug, not input: histogram shapes are compile-time constants
-		// at every call site, so an error return would only be dead code.
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n), binWidth: (hi - lo) / float64(n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Bins) { // guard FP edge at x == Hi-ε
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the number of recorded observations including outliers.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
-}
-
-// Render draws a textual histogram with proportional bars; width is the bar
-// length of the fullest bin.
-func (h *Histogram) Render(width int) string {
-	max := 1
-	for _, b := range h.Bins {
-		if b > max {
-			max = b
-		}
-	}
-	var sb strings.Builder
-	for i, b := range h.Bins {
-		lo := h.Lo + float64(i)*h.binWidth
-		hi := lo + h.binWidth
-		bar := strings.Repeat("#", b*width/max)
-		fmt.Fprintf(&sb, "[%8.2f, %8.2f) %6d %s\n", lo, hi, b, bar)
-	}
-	return sb.String()
 }
 
 // DurationsToMillis converts durations to float milliseconds.

@@ -113,37 +113,6 @@ func TestBoxOf(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Bins[0] != 2 { // 0 and 1.9
-		t.Errorf("bin 0 = %d", h.Bins[0])
-	}
-	if h.Bins[1] != 1 || h.Bins[2] != 1 || h.Bins[4] != 1 {
-		t.Errorf("bins = %v", h.Bins)
-	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d", h.Total())
-	}
-	if h.Render(20) == "" {
-		t.Errorf("empty render")
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("bad histogram shape accepted")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
 func TestDurationsToMillis(t *testing.T) {
 	got := DurationsToMillis([]time.Duration{time.Second, 250 * time.Millisecond})
 	if got[0] != 1000 || got[1] != 250 {

@@ -99,6 +99,3 @@ func (r Rate) Cost(d time.Duration) Money {
 	us := d.Microseconds()
 	return Money(int64(r) * us / 1_000_000)
 }
-
-// PerSecondCents reports the rate as floating cents per second.
-func (r Rate) PerSecondCents() float64 { return float64(r) / float64(Cent) }
