@@ -56,7 +56,8 @@ func BenchmarkPlanCacheCold(b *testing.B) {
 }
 
 // BenchmarkPlanCacheWarm measures the hit path: the search is served from
-// the LRU without expanding the configuration graph.
+// the entry stored at its own target without expanding the configuration
+// graph.
 func BenchmarkPlanCacheWarm(b *testing.B) {
 	in := searchInput(3)
 	sig := "bench"
@@ -71,30 +72,38 @@ func BenchmarkPlanCacheWarm(b *testing.B) {
 }
 
 // BenchmarkPlanCacheIntervalHit measures an adjacent-bucket hit: the
-// target sits in a cached entry's feasibility interval, one bucket below
-// where the entry was computed, so the lookup walks the interval index
-// instead of re-searching.
+// target sits in a cached entry's feasibility interval, one bucket above
+// the entry's slowest path and below where the entry was computed, so the
+// lookup answers through the interval instead of re-searching. An
+// interval hit stores nothing, so every iteration is one.
 func BenchmarkPlanCacheIntervalHit(b *testing.B) {
 	in := searchInput(3)
+	in.GSLO = time.Minute // past the globally cheapest paths: they leave buckets below it
 	sig := "bench"
+	c := esg.NewPlanCache(8, 5*time.Millisecond)
+	first := c.Search(in, sig)
+	if !first.Feasible {
+		b.Fatal("infeasible seed search")
+	}
+	var tmax time.Duration
+	for _, p := range first.Paths {
+		if p.Time > tmax {
+			tmax = p.Time
+		}
+	}
+	tight := in
+	tight.GSLO = c.QuantizeGSLO(tmax) + 5*time.Millisecond // first bucket >= tmax
+	if tight.GSLO >= c.QuantizeGSLO(in.GSLO) {
+		b.Fatalf("t_max %v leaves no bucket below the searched target %v", tmax, in.GSLO)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c := esg.NewPlanCache(8, 5*time.Millisecond)
-		first := c.Search(in, sig)
-		if !first.Feasible {
-			b.Fatal("infeasible seed search")
-		}
-		var tmax time.Duration
-		for _, p := range first.Paths {
-			if p.Time > tmax {
-				tmax = p.Time
-			}
-		}
-		tight := in
-		tight.GSLO = c.QuantizeGSLO(tmax) + 5*time.Millisecond // first bucket >= tmax
-		b.StartTimer()
 		if res := c.Search(tight, sig); len(res.Paths) == 0 {
 			b.Fatal("no paths")
 		}
+	}
+	b.StopTimer()
+	if st := c.Stats(); st.IntervalHits != uint64(b.N) {
+		b.Fatalf("%d interval hits in %d lookups: %+v", st.IntervalHits, b.N, st)
 	}
 }

@@ -109,7 +109,8 @@ type (
 	SearchResult = core.SearchResult
 	// Path is one full configuration path over a stage sequence.
 	Path = core.Path
-	// PlanCache memoizes ESG_1Q searches (LRU over quantized targets).
+	// PlanCache memoizes ESG_1Q searches (per stage group, entries answering
+	// disjoint intervals of quantized targets).
 	PlanCache = core.PlanCache
 	// PlanCacheStats are a plan cache's hit/miss/eviction counters.
 	PlanCacheStats = sched.PlanCacheStats
@@ -173,7 +174,7 @@ func NewESG(opts ...ESGOption) Scheduler { return core.New(opts...) }
 // NewPlanCache returns a memoized ESG_1Q search layer bounded to capacity
 // entries with the given target-latency bucket width (non-positive values
 // select the defaults). Attach it with WithPlanCache, or let the emulator
-// attach one per run via RunConfig.PlanCache.
+// attach one of the default size per run via RunConfig.PlanCache.
 func NewPlanCache(capacity int, granularity time.Duration) *PlanCache {
 	return core.NewPlanCache(capacity, granularity)
 }

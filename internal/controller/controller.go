@@ -83,16 +83,13 @@ type Config struct {
 
 	// PlanCache enables the scheduler's optional memoized plan search
 	// when the scheduler supports one (sched.PlanCaching — ESG's plan
-	// cache). Schedulers without an optional cache run unchanged: the
-	// baselines' plan memo is structural and always on, so for them this
-	// flag is a no-op and their hit/cold counters are reported with the
-	// run's metrics either way.
+	// cache), at the implementation's default capacity and target
+	// granularity; each run gets its own cache. Schedulers without an
+	// optional cache run unchanged: the baselines' plan memo is
+	// structural and always on, so for them this flag is a no-op and
+	// their hit/cold counters are reported with the run's metrics either
+	// way.
 	PlanCache bool
-	// PlanCacheSize bounds the number of cached plans (0 = default).
-	PlanCacheSize int
-	// PlanCacheGranularity is the target-latency bucket width of the
-	// cache key (0 = default).
-	PlanCacheGranularity time.Duration
 
 	// StreamMetrics replaces the exact stored-sample metrics recorder with
 	// the streaming sketch recorder: per-sample series (Records, Overheads,
@@ -230,9 +227,8 @@ type Controller struct {
 	noiseSrc  *rng.Source
 
 	// Per-queue pre-warm state.
-	predictors  []*prewarm.Predictor
-	planners    []*prewarm.PoolPlanner
-	lastInvoker []int
+	predictors []*prewarm.Predictor
+	planners   []*prewarm.PoolPlanner
 	// fnQueues maps an interned FnID to the queues invoking it (pool
 	// demand for a function sums over them).
 	fnQueues [][]int
@@ -329,19 +325,18 @@ func New(cfg Config, s sched.Scheduler, src workload.Source) (*Controller, error
 		clu.Intern(name)
 	}
 	c := &Controller{
-		cfg:         cfg,
-		scheduler:   s,
-		source:      src,
-		engine:      simulate.New(),
-		env:         env,
-		clu:         clu,
-		queues:      qs,
-		collector:   metrics.NewCollector(s.Name(), src.Level().String(), cfg.SLOLevel.String(), cfg.Apps),
-		noiseSrc:    rng.New(cfg.Seed ^ 0xE5C9DD4B1A2F3C71),
-		predictors:  make([]*prewarm.Predictor, len(qs.Queues)),
-		lastInvoker: make([]int, len(qs.Queues)),
-		inRecheck:   make([]bool, len(qs.Queues)),
-		flights:     make([][]*flight, len(clu.Invokers)),
+		cfg:        cfg,
+		scheduler:  s,
+		source:     src,
+		engine:     simulate.New(),
+		env:        env,
+		clu:        clu,
+		queues:     qs,
+		collector:  metrics.NewCollector(s.Name(), src.Level().String(), cfg.SLOLevel.String(), cfg.Apps),
+		noiseSrc:   rng.New(cfg.Seed ^ 0xE5C9DD4B1A2F3C71),
+		predictors: make([]*prewarm.Predictor, len(qs.Queues)),
+		inRecheck:  make([]bool, len(qs.Queues)),
+		flights:    make([][]*flight, len(clu.Invokers)),
 	}
 	c.expectSpan, c.expectPerApp = src.Expect()
 	if cfg.StreamMetrics {
@@ -355,7 +350,7 @@ func New(cfg Config, s sched.Scheduler, src workload.Source) (*Controller, error
 	}
 	if cfg.PlanCache {
 		if pc, ok := s.(sched.PlanCaching); ok {
-			pc.EnablePlanCache(cfg.PlanCacheSize, cfg.PlanCacheGranularity)
+			pc.EnablePlanCache(0, 0)
 		}
 	}
 	c.planners = make([]*prewarm.PoolPlanner, len(qs.Queues))
@@ -372,7 +367,6 @@ func New(cfg Config, s sched.Scheduler, src workload.Source) (*Controller, error
 	for i := range c.predictors {
 		c.predictors[i] = prewarm.NewPredictor(cfg.PrewarmAlpha)
 		c.planners[i] = prewarm.NewPoolPlanner(cfg.PrewarmAlpha)
-		c.lastInvoker[i] = -1
 		q := qs.Queues[i]
 		c.fnQueues[q.FnID] = append(c.fnQueues[q.FnID], q.ID)
 	}
@@ -1071,7 +1065,7 @@ func (c *Controller) ensureWarmPool(fn cluster.FnID) {
 	}
 	cold := c.fnProfiles[fn].ColdStart
 	for i := 0; i < deficit; i++ {
-		inv := c.pickWarmTarget(fn)
+		inv := c.clu.MostFreeNotWarming(fn)
 		if inv == nil {
 			return
 		}
@@ -1090,12 +1084,6 @@ func (c *Controller) ensureWarmPool(fn cluster.FnID) {
 	}
 }
 
-// pickWarmTarget chooses the invoker for a background warm-up: the one with
-// the most free GPU among those not already warming fn.
-func (c *Controller) pickWarmTarget(fn cluster.FnID) *cluster.Invoker {
-	return c.clu.MostFreeNotWarming(fn)
-}
-
 // observeForPrewarm feeds the queue's EWMA predictor and, when the next
 // invocation is predictable far enough ahead, schedules a container warm-up
 // on the invoker the function just used (§4's pre-warming proxy).
@@ -1103,7 +1091,6 @@ func (c *Controller) observeForPrewarm(q *queue.AFW, inv *cluster.Invoker, fn *p
 	now := c.engine.Now()
 	p := c.predictors[q.ID]
 	p.Observe(now)
-	c.lastInvoker[q.ID] = inv.ID
 	if c.cfg.DisablePrewarm {
 		return
 	}

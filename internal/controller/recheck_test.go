@@ -160,7 +160,7 @@ func discarding(s sched.Scheduler) sched.Scheduler {
 func withoutCacheCounters(r *metrics.Result) *metrics.Result {
 	c := *r
 	c.PlanCacheHits, c.PlanCacheIntervalHits, c.PlanCacheMisses = 0, 0, 0
-	c.PlanCacheEvictions, c.PlanCacheInvalidations, c.PlanCacheResumes = 0, 0, 0
+	c.PlanCacheEvictions, c.PlanCacheResumes = 0, 0
 	return &c
 }
 

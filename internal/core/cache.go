@@ -1,10 +1,10 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -18,53 +18,79 @@ import (
 // search runs, so a cached plan is always at least as tight as the target
 // it is reused for.
 const (
-	// DefaultCacheSize bounds the number of memoized searches kept.
-	// Entries are small (up to K paths of a few estimates each), and the
-	// working set of a production-scale run — stage groups × quantized
-	// queue depths × target buckets — runs into the thousands; at 512 the
-	// LRU churned hot entries and re-searched them (measured on the scale
-	// scenario: 4096 nearly halves the cold-search count). Interval hits
-	// answer from their own side structure and insert nothing here, so the
-	// LRU only ever holds genuinely searched keys.
+	// DefaultCacheSize bounds the number of memoized searches kept, across
+	// all stage groups. Entries are small (up to K paths of a few estimates
+	// each); a production-scale run keeps a few thousand live — stage
+	// groups × quantized queue depths × distinct answers per group. At
+	// seed 42 the benchmark's plan-cache workloads peak at 2,122–4,097,
+	// so only the chaos workload drops a group.
 	DefaultCacheSize = 4096
 	// DefaultCacheGranularity is the GSLO bucket width. The controller's
 	// scheduling quantum is 2 ms, so targets recur at millisecond scale;
 	// 5 ms buckets absorb the jitter of the queue head's elapsed time
 	// while staying well inside the 0.9 planning margin.
 	DefaultCacheGranularity = 5 * time.Millisecond
-
-	// maxIntervalPerKey bounds the interval-indexed entries per stage
-	// group: under a steadily tightening target the newest entries answer
-	// everything, so a short list suffices.
-	maxIntervalPerKey = 8
-	// maxIntervalKeys bounds the number of stage groups with an interval
-	// list. Interval entries live outside the exact-key LRU (an interval
-	// hit must not churn it), so they need their own bound; the hot stage
-	// groups of a run number in the tens, well under this.
-	maxIntervalKeys = 256
 )
 
-// cacheKey identifies one memoized ESG_1Q search: the stage-group signature
-// (function sequence + filter identity + table epoch), the quantized queue
-// depth, the GSLO bucket, and the remaining search inputs.
-type cacheKey struct {
+// groupKey identifies one stage-group search up to its target: the
+// stage-group signature (function sequence + filter identity + table
+// generation), the quantized queue depth and the remaining search inputs.
+// Two searches under one groupKey differ only in GSLO.
+type groupKey struct {
 	sig      string
-	gslo     int64 // GSLO floored to a granularity bucket
-	maxBatch int   // queue depth quantized to the first stage's batch options
+	maxBatch int // queue depth quantized to the first stage's batch options
 	k        int
 	hop      time.Duration
 	maxExp   int // expansion cap: a truncated search is not a full one
 }
 
-// intervalKey is a cacheKey minus the target bucket: everything that must
-// match for two searches to differ only in GSLO. The feasibility-interval
-// index is keyed on it.
-type intervalKey struct {
-	sig      string
-	maxBatch int
-	k        int
-	hop      time.Duration
-	maxExp   int
+// entry is one memoized search: a frozen result that answers every
+// quantized target in [lo, hi]. hi is the target it was searched at; lo
+// is its slowest kept path when feasible and 0 when infeasible (the drain
+// fallback does not depend on the target). A search truncated at its
+// expansion cap answers only its own target: lo = hi. Within one answer a
+// tighter target expands no more nodes, so a truncated search never falls
+// inside another entry's interval (FuzzPlanCache checks both under small
+// caps).
+type entry struct {
+	res    SearchResult
+	lo, hi time.Duration
+	// snapshot is a deep copy of res taken at insertion when
+	// CheckMutations is armed; Integrity compares against it.
+	snapshot *SearchResult
+}
+
+// group holds one stage group's entries sorted by hi, with disjoint
+// intervals (one entry per distinct answer), and the recency stamp the
+// capacity bound evicts by.
+type group struct {
+	entries []entry
+	lastUse uint64
+}
+
+// search returns the index of the first entry with hi >= q.
+func (g *group) search(q time.Duration) int {
+	return sort.Search(len(g.entries), func(i int) bool { return g.entries[i].hi >= q })
+}
+
+// find returns the entry answering the quantized target q, or nil. Only
+// the first entry with hi >= q can answer: feasible sets only grow with
+// the target, so if the entry searched at the smallest hi >= q keeps a
+// path slower than q, so does every looser one.
+func (g *group) find(q time.Duration) *entry {
+	if i := g.search(q); i < len(g.entries) && g.entries[i].lo <= q {
+		return &g.entries[i]
+	}
+	return nil
+}
+
+// insert places e, which no entry answers at e.hi, and returns how many
+// entries it replaced: those with hi in [e.lo, e.hi) hold exactly e's
+// answer, by the argument find rests on.
+func (g *group) insert(e entry) int {
+	from, to := g.search(e.lo), g.search(e.hi)
+	g.entries = slices.Replace(g.entries, from, to, e)
+	return to - from
 }
 
 // PlanCache memoizes ESG_1Q searches. Repeated searches over the same
@@ -73,7 +99,7 @@ type intervalKey struct {
 // scheduler's hot path; §5.4 bounds it to milliseconds — a hit makes it
 // nanoseconds).
 //
-// Two quantizations make keys recur:
+// Two quantizations make targets recur:
 //
 //   - The queue depth only matters through the largest batch option of the
 //     first stage that still fits, so depths 9..11 under batch options
@@ -84,92 +110,46 @@ type intervalKey struct {
 //     the floored target is feasible under the real one, so a cached plan
 //     never overshoots the SLO it is reused for.
 //
-// On top of the exact keys, every entry carries a GSLO feasibility
-// interval so adjacent buckets hit instead of re-searching: a feasible
-// search at bucket g whose slowest kept path takes t_max answers every
-// quantized target in [t_max, g] (the K cheapest paths cannot change while
-// they all stay feasible), and an infeasible search at g answers every
-// tighter target (the drain fallback is GSLO-independent). Under the
-// controller's 2 ms re-planning cadence group targets tighten monotonically
-// as the queue head ages, which is exactly the pattern this layer absorbs.
-// A lookup neither layer answers — including a target below t_max — runs a
-// cold search at the quantized target.
-//
-// Exact-key entries are kept in an LRU list bounded by Capacity. Interval
-// answers come from a separate per-stage-group side structure: an interval
-// hit never inserts an alias into the exact-key LRU (aliases used to churn
-// hot entries out at tight capacities), and an interval entry keeps
-// answering even after its originating exact entry is evicted.
+// The store is one index: per stage group, entries sorted by the quantized
+// target each was searched at, each answering a feasibility interval of
+// targets. A feasible search at target g whose slowest kept path takes
+// t_max answers every quantized target in [t_max, g] (the K cheapest paths
+// cannot change while they all stay feasible), and an infeasible search at
+// g answers every tighter target. Under the controller's 2 ms re-planning
+// cadence group targets tighten monotonically as the queue head ages,
+// which is exactly the pattern this absorbs. A lookup no entry answers —
+// including a target below t_max — runs a cold search at the quantized
+// target. Capacity bounds the entries across all groups; past it the
+// least-recently-used group is dropped whole.
 //
 // All methods are safe for concurrent use. Cold searches run outside the
-// cache lock, so two planners that miss the same key at once both search:
-// their results are identical and only the first is inserted, but both
-// count as misses. Answers therefore never depend on the interleaving of
-// concurrent callers; the counters may.
+// cache lock, so two planners that miss the same target at once both
+// search: their results are identical and only the first is inserted, but
+// both count as misses. Answers therefore never depend on the interleaving
+// of concurrent callers; the counters may.
 //
 // Read-only contract: the returned SearchResult — the Paths slice, every
 // Path.Ests in it, and the candidate list derived from them, which ESG
 // returns as sched.Plan.Candidates — is shared between the cache and every
-// past and future caller of the same key. Callers must not modify it.
-// Every slice is capacity-frozen, so an append always copies; writing
-// elements in place corrupts other callers' plans. CheckMutations/Integrity
-// exist to catch exactly that in tests.
+// past and future caller it answers. Callers must not modify it. Every
+// slice is capacity-frozen, so an append always copies; writing elements
+// in place corrupts other callers' plans. CheckMutations/Integrity exist
+// to catch exactly that in tests.
 type PlanCache struct {
 	mu          sync.Mutex
 	capacity    int
 	granularity time.Duration
-	entries     map[cacheKey]*list.Element
-	order       *list.List // front = most recently used
-	intervals   map[intervalKey]*intervalList
-	useSeq      uint64 // interval-list recency clock
+	groups      map[groupKey]*group
+	size        int    // entries across all groups
+	useSeq      uint64 // group recency clock
 	stats       sched.PlanCacheStats
 	checkMut    bool
 
 	// oracleIDs names each profile-table generation ever seen by this
 	// cache, so schedulers sharing the cache across different oracles
-	// can never collide on a signature. Invalidate bumps idEpoch, which
-	// prefixes every ID — old signatures can never resurface.
+	// can never collide on a signature.
 	oracleIDs map[*profile.Oracle]uint64
 	nextID    uint64
-	idEpoch   uint64
-}
-
-type cacheEntry struct {
-	key cacheKey
-	res SearchResult
-	// snapshot is a deep copy of res taken at insertion when
-	// CheckMutations is armed; Integrity compares against it.
-	snapshot *SearchResult
-}
-
-// intervalEntry is one self-contained record of the feasibility-interval
-// side structure: the frozen result plus the interval it answers. It shares
-// the frozen Paths storage with the exact entry inserted alongside it but
-// has no pointer into the LRU, so interval hits neither touch nor extend
-// the exact-key order. computedAt is the quantized target the result was
-// searched at and tmax the slowest kept path of a feasible result; together
-// they span the entry's feasibility interval.
-type intervalEntry struct {
-	res        SearchResult
-	computedAt time.Duration
-	tmax       time.Duration
-	snapshot   *SearchResult
-}
-
-// covers reports whether the entry's result answers a search at the
-// quantized target q.
-func (e *intervalEntry) covers(q time.Duration) bool {
-	if q > e.computedAt {
-		return false
-	}
-	return !e.res.Feasible || e.tmax <= q
-}
-
-// intervalList holds one stage group's interval entries (oldest first) with
-// the recency stamp the key-count bound evicts by.
-type intervalList struct {
-	entries []intervalEntry
-	lastUse uint64
 }
 
 // NewPlanCache returns a cache bounded to capacity entries with the given
@@ -184,9 +164,7 @@ func NewPlanCache(capacity int, granularity time.Duration) *PlanCache {
 	return &PlanCache{
 		capacity:    capacity,
 		granularity: granularity,
-		entries:     make(map[cacheKey]*list.Element, capacity),
-		order:       list.New(),
-		intervals:   make(map[intervalKey]*intervalList),
+		groups:      make(map[groupKey]*group),
 		oracleIDs:   make(map[*profile.Oracle]uint64),
 	}
 }
@@ -205,19 +183,20 @@ func (c *PlanCache) TableID(o *profile.Oracle) string {
 		id = c.nextID
 		c.oracleIDs[o] = id
 	}
-	return "t" + strconv.FormatUint(c.idEpoch, 10) + "." + strconv.FormatUint(id, 10)
+	return "t" + strconv.FormatUint(id, 10)
 }
 
-// Len returns the number of cached searches.
+// Len returns the number of cached entries across all stage groups.
 func (c *PlanCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.size
 }
 
 // Stats returns a snapshot of the hit/miss counters. A lookup counts as
-// exactly one of Hits (exact key), IntervalHits (a neighboring bucket's
-// feasibility interval) or Misses (a cold search).
+// exactly one of Hits (answered by the entry searched at its own target),
+// IntervalHits (answered through another target's feasibility interval)
+// or Misses (a cold search).
 func (c *PlanCache) Stats() sched.PlanCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -242,43 +221,15 @@ func (c *PlanCache) CheckMutations() {
 func (c *PlanCache) Integrity() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*cacheEntry)
-		if ent.snapshot == nil {
-			continue
-		}
-		if !sharedEqual(ent.res, *ent.snapshot) {
-			return fmt.Errorf("core: cached plan for %q (gslo %v) was mutated by a caller; plans returned by PlanCache.Search are read-only",
-				ent.key.sig, time.Duration(ent.key.gslo))
-		}
-	}
-	for ikey, lst := range c.intervals {
-		for i := range lst.entries {
-			ent := &lst.entries[i]
-			if ent.snapshot == nil {
-				continue
-			}
-			if !sharedEqual(ent.res, *ent.snapshot) {
-				return fmt.Errorf("core: interval-cached plan for %q (computed at %v) was mutated by a caller; plans returned by PlanCache.Search are read-only",
-					ikey.sig, ent.computedAt)
+	for key, g := range c.groups {
+		for _, e := range g.entries {
+			if e.snapshot != nil && !sharedEqual(e.res, *e.snapshot) {
+				return fmt.Errorf("core: cached plan for %q (searched at %v) was mutated by a caller; plans returned by PlanCache.Search are read-only",
+					key.sig, e.hi)
 			}
 		}
 	}
 	return nil
-}
-
-// Invalidate drops every cached plan. Callers must invoke it whenever the
-// profile tables or admissibility filters behind a signature change, since
-// cached paths embed estimates from the old tables.
-func (c *PlanCache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[cacheKey]*list.Element, c.capacity)
-	c.order.Init()
-	c.intervals = make(map[intervalKey]*intervalList)
-	c.oracleIDs = make(map[*profile.Oracle]uint64)
-	c.idEpoch++
-	c.stats.Invalidations++
 }
 
 // QuantizeGSLO floors d to the cache's bucket width (at least one bucket,
@@ -286,8 +237,8 @@ func (c *PlanCache) Invalidate() {
 // stay infeasible-tight rather than becoming trivially infeasible at 0).
 // Non-positive targets all collapse to one bucket: no configuration can
 // meet them, so the search degenerates to the same GSLO-independent drain
-// paths — without the clamp, an overdue queue would mint a fresh key per
-// Plan call and churn the LRU exactly when the scheduler is busiest.
+// paths — without the clamp, an overdue queue would mint a fresh target
+// per Plan call exactly when the scheduler is busiest.
 func (c *PlanCache) QuantizeGSLO(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
@@ -313,46 +264,25 @@ func quantizeFirstBatch(in SearchInput, depth int) int {
 // shapes the result but is not part of the key's scalar fields: the stage
 // sequence (function names), the profile-table generation and the
 // admissibility filter. Results are shared — callers must treat the
-// returned paths as read-only (see the type comment).
-//
-// Resolution order: exact quantized key, then the feasibility-interval
-// index (an adjacent bucket whose result provably answers this target),
-// then a cold search. All three return the same paths a fresh search at
-// the quantized target would.
+// returned paths as read-only (see the type comment). Every answer, cached
+// or cold, equals a fresh search at the quantized target.
 func (c *PlanCache) Search(in SearchInput, sig string) SearchResult {
 	in.GSLO = c.QuantizeGSLO(in.GSLO)
 	in.MaxFirstBatch = quantizeFirstBatch(in, in.MaxFirstBatch)
-	key := cacheKey{
-		sig:      sig,
-		gslo:     int64(in.GSLO),
-		maxBatch: in.MaxFirstBatch,
-		k:        in.K,
-		hop:      in.Hop,
-		maxExp:   in.MaxExpansions,
-	}
-	ikey := intervalKey{sig: sig, maxBatch: in.MaxFirstBatch, k: in.K, hop: in.Hop, maxExp: in.MaxExpansions}
+	key := groupKey{sig: sig, maxBatch: in.MaxFirstBatch, k: in.K, hop: in.Hop, maxExp: in.MaxExpansions}
+	q := in.GSLO
 
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		c.stats.Hits++
-		res := el.Value.(*cacheEntry).res
-		c.mu.Unlock()
-		return res
-	}
-	if lst, ok := c.intervals[ikey]; ok {
-		for i := range lst.entries {
-			ent := &lst.entries[i]
-			if !ent.covers(in.GSLO) {
-				continue
-			}
+	if g, ok := c.groups[key]; ok {
+		if e := g.find(q); e != nil {
 			c.useSeq++
-			lst.lastUse = c.useSeq
-			c.stats.IntervalHits++
-			res := ent.res
-			// Answer straight from the side structure: no alias entry is
-			// materialized, so the exact-key LRU is untouched and repeat
-			// lookups in this bucket keep resolving here.
+			g.lastUse = c.useSeq
+			if e.hi == q {
+				c.stats.Hits++
+			} else {
+				c.stats.IntervalHits++
+			}
+			res := e.res
 			c.mu.Unlock()
 			return res
 		}
@@ -367,77 +297,51 @@ func (c *PlanCache) Search(in SearchInput, sig string) SearchResult {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Misses++
-	if _, ok := c.entries[key]; ok {
+	g, ok := c.groups[key]
+	if !ok {
+		g = &group{}
+		c.groups[key] = g
+	} else if g.find(q) != nil {
 		return res
 	}
-	c.insertLocked(key, res)
-	// A budget-capped (truncated) search is cached for its exact key —
-	// repeats of the same capped input are identical — but kept out of the
-	// interval index: its partial result answers no other bucket.
+	e := entry{res: res, hi: q}
 	maxExp := in.MaxExpansions
 	if maxExp <= 0 {
 		maxExp = defaultMaxExpansions
 	}
-	if res.Expanded <= maxExp {
-		c.indexIntervalLocked(ikey, res, in.GSLO)
+	switch {
+	case res.Expanded > maxExp:
+		e.lo = q
+	case res.Feasible:
+		for _, p := range res.Paths {
+			e.lo = max(e.lo, p.Time)
+		}
+	}
+	if c.checkMut {
+		e.snapshot = deepCopyShared(res)
+	}
+	c.size += 1 - g.insert(e)
+	c.useSeq++
+	g.lastUse = c.useSeq
+	for c.size > c.capacity {
+		c.evictLocked()
 	}
 	return res
 }
 
-// insertLocked adds an exact-key entry to the LRU, evicting from the back
-// over capacity. The caller holds c.mu and guarantees key is absent.
-func (c *PlanCache) insertLocked(key cacheKey, res SearchResult) {
-	ent := &cacheEntry{key: key, res: res}
-	if c.checkMut {
-		ent.snapshot = deepCopyShared(res)
-	}
-	el := c.order.PushFront(ent)
-	c.entries[key] = el
-	for c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.stats.Evictions++
-	}
-}
-
-// indexIntervalLocked records a search at the quantized target computedAt
-// in the stage group's interval side structure (oldest entry out past the
-// per-key bound; least-recently-used group out past the key-count bound).
-// The caller holds c.mu.
-func (c *PlanCache) indexIntervalLocked(ikey intervalKey, res SearchResult, computedAt time.Duration) {
-	var tmax time.Duration
-	if res.Feasible {
-		for _, p := range res.Paths {
-			tmax = max(tmax, p.Time)
+// evictLocked drops the least-recently-used stage group whole. The caller
+// holds c.mu.
+func (c *PlanCache) evictLocked() {
+	var victim groupKey
+	var oldest *group
+	for k, g := range c.groups {
+		if oldest == nil || g.lastUse < oldest.lastUse {
+			victim, oldest = k, g
 		}
 	}
-	c.useSeq++
-	lst, ok := c.intervals[ikey]
-	if !ok {
-		if len(c.intervals) >= maxIntervalKeys {
-			var victim intervalKey
-			first := true
-			var oldest uint64
-			for k, l := range c.intervals {
-				if first || l.lastUse < oldest {
-					first, oldest, victim = false, l.lastUse, k
-				}
-			}
-			delete(c.intervals, victim)
-		}
-		lst = &intervalList{}
-		c.intervals[ikey] = lst
-	}
-	ent := intervalEntry{res: res, computedAt: computedAt, tmax: tmax}
-	if c.checkMut {
-		ent.snapshot = deepCopyShared(res)
-	}
-	if len(lst.entries) >= maxIntervalPerKey {
-		lst.entries = append(lst.entries[:0], lst.entries[1:]...)
-	}
-	lst.entries = append(lst.entries, ent)
-	lst.lastUse = c.useSeq
+	delete(c.groups, victim)
+	c.size -= len(oldest.entries)
+	c.stats.Evictions += uint64(len(oldest.entries))
 }
 
 // freezeResult caps both slice levels of a fresh search result before the

@@ -109,32 +109,10 @@ func TestPlanCacheDepthQuantization(t *testing.T) {
 	}
 }
 
-func TestPlanCacheInvalidate(t *testing.T) {
-	o := smallOracle()
-	c := NewPlanCache(8, 5*time.Millisecond)
-	in := cacheInput(o, 526*time.Millisecond)
-	c.Search(in, "sig")
-	c.Search(in, "sig")
-	c.Invalidate()
-	if c.Len() != 0 {
-		t.Fatalf("cache holds %d entries after Invalidate", c.Len())
-	}
-	c.Search(in, "sig")
-	st := c.Stats()
-	if st.Misses != 2 || st.Hits != 1 || st.Invalidations != 1 {
-		t.Errorf("stats after invalidate: %+v", st)
-	}
-
-	// A changed signature (new tables / new filter) must also miss.
-	c.Search(in, "sig2")
-	if st := c.Stats(); st.Misses != 3 {
-		t.Errorf("signature change did not miss: %+v", st)
-	}
-}
-
 func TestPlanCacheLRUEviction(t *testing.T) {
-	// Distinct signatures per entry keep the feasibility-interval layer out
-	// of the way: this test is about LRU mechanics.
+	// Distinct signatures give one stage group per search, so capacity 3
+	// holds three groups and each insert past it drops the least recently
+	// used group whole.
 	o := smallOracle()
 	c := NewPlanCache(3, time.Millisecond)
 	in := cacheInput(o, 526*time.Millisecond)
@@ -149,24 +127,21 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 		t.Fatalf("evictions = %d, want 2", st.Evictions)
 	}
 
-	// 0 and 1 were evicted; 2, 3, 4 remain. Touch 2 (making 3 the LRU),
-	// then insert a new key: 3 must be the victim.
+	// 0 and 1 were dropped; 2, 3, 4 remain. Touch 2 (making 3 the least
+	// recently used), then insert a new group: 3 must be the victim.
 	c.Search(in, sig(2))
 	c.Search(in, sig(5))
 	c.Search(in, sig(4))
 	c.Search(in, sig(2))
-	st := c.Stats()
-	if wantHits := uint64(3); st.Hits != wantHits {
-		t.Errorf("hits = %d, want %d (LRU order violated)", st.Hits, wantHits)
+	if st := c.Stats(); st.Hits != 3 || st.Misses != 6 {
+		t.Errorf("hits = %d misses = %d, want 3 and 6 (LRU order violated)", st.Hits, st.Misses)
 	}
-	// The evicted victim is gone from the LRU, but the stage group's
-	// interval side structure is decoupled from it and survives: the
-	// lookup must not be an exact hit, and must be answered by the
-	// surviving interval entry without searching at all.
 	c.Search(in, sig(3))
-	if st := c.Stats(); st.Misses != 6 || st.IntervalHits != 1 {
-		t.Errorf("misses = %d intervalHits = %d, want 6 and 1 (evicted victim re-answered by its interval entry)",
-			st.Misses, st.IntervalHits)
+	if st := c.Stats(); st.Misses != 7 || st.Evictions != 4 {
+		t.Errorf("misses = %d evictions = %d, want 7 and 4 (the untouched group survived)", st.Misses, st.Evictions)
+	}
+	if c.Len() != 3 {
+		t.Errorf("capacity 3 cache holds %d entries", c.Len())
 	}
 }
 
@@ -246,15 +221,15 @@ func TestPlanCacheIntervalHit(t *testing.T) {
 	if !reflect.DeepEqual(second.Paths, fresh.Paths) || second.Feasible != fresh.Feasible {
 		t.Errorf("interval hit differs from a fresh search at the quantized target")
 	}
-	// Repeat lookups in the covered bucket keep answering from the side
-	// structure: no exact alias is materialized (aliases used to churn
-	// the LRU at tight capacity), so the exact-key LRU stays untouched.
+	// Repeat lookups in the covered bucket keep answering through the
+	// interval: no alias entry is inserted (aliases used to churn the
+	// cache at tight capacity), so the cache still holds one entry.
 	c.Search(cacheInput(o, q), sig)
 	if st := c.Stats(); st.Hits != 0 || st.IntervalHits != 2 {
 		t.Errorf("interval hit materialized an alias: %+v", st)
 	}
 	if c.Len() != 1 {
-		t.Errorf("interval hits grew the exact-key LRU to %d entries, want 1", c.Len())
+		t.Errorf("interval hits grew the cache to %d entries, want 1", c.Len())
 	}
 
 	// An infeasible search answers every tighter target: the drain
@@ -276,11 +251,10 @@ func TestPlanCacheIntervalHitsDoNotChurnAtCapacity(t *testing.T) {
 	// Regression: interval hits used to materialize an exact alias entry
 	// per answered bucket, so a scale-shaped working set — tens of stage
 	// groups, each probed across many tightening target buckets — minted
-	// hundreds of aliases and churned genuinely searched keys out of a
-	// 512-entry LRU. Interval answers now live in their own side
-	// structure: the counters below pin that a full sweep of covered
-	// buckets evicts nothing and leaves the LRU holding exactly the
-	// searched keys.
+	// hundreds of aliases and churned genuinely searched entries out of a
+	// 512-entry cache. An interval hit inserts nothing: the counters
+	// below pin that a full sweep of covered buckets evicts nothing and
+	// leaves the cache holding exactly the searched entries.
 	o := smallOracle()
 	c := NewPlanCache(512, 5*time.Millisecond)
 	const groups = 64
@@ -301,7 +275,7 @@ func TestPlanCacheIntervalHitsDoNotChurnAtCapacity(t *testing.T) {
 		c.Search(loose, sig(i))
 	}
 	// 64 groups × 8 covered buckets: 512 interval answers. With alias
-	// materialization these became 512 extra LRU inserts on top of the 64
+	// materialization these became 512 extra inserts on top of the 64
 	// real entries — past capacity 512, guaranteed churn.
 	for i := 0; i < groups; i++ {
 		for b := 1; b <= buckets; b++ {
@@ -319,7 +293,7 @@ func TestPlanCacheIntervalHitsDoNotChurnAtCapacity(t *testing.T) {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 	if c.Len() != groups {
-		t.Errorf("LRU holds %d entries, want %d (searched keys only)", c.Len(), groups)
+		t.Errorf("cache holds %d entries, want %d (searched entries only)", c.Len(), groups)
 	}
 }
 
@@ -376,6 +350,47 @@ func TestPlanCacheTighterThanTmaxMisses(t *testing.T) {
 	}
 	if want := drainPaths(unpruned, in.Hop); !reflect.DeepEqual(inf.Paths, want) {
 		t.Errorf("cached drain was not built from the unpruned lists")
+	}
+}
+
+func TestPlanCacheOldestEntryKeepsAnswering(t *testing.T) {
+	// A stage group searched at a ladder of ever tighter targets, each
+	// below the previous answer's slowest path, holds one entry per rung.
+	// However many rungs follow, the first entry keeps answering the
+	// targets only its interval covers (a per-group list of the newest
+	// eight entries forgot it once a ninth arrived).
+	o := testOracle()
+	c := NewPlanCache(0, 5*time.Millisecond)
+	sig := "t0|/sr/seg/cls"
+	in := cacheInput(o, 5*time.Second)
+	in.K = 1
+	first := c.Search(in, sig)
+	if !first.Feasible {
+		t.Fatal("loose search infeasible")
+	}
+	covered := c.QuantizeGSLO(maxPathTime(first.Paths)) + 5*time.Millisecond
+	if covered >= in.GSLO {
+		t.Fatalf("test setup: t_max %v leaves no covered bucket below %v", maxPathTime(first.Paths), in.GSLO)
+	}
+	const rungs = 9
+	res := first
+	for i := 1; i < rungs; i++ {
+		in.GSLO = c.QuantizeGSLO(maxPathTime(res.Paths)) - 5*time.Millisecond
+		if res = c.Search(in, sig); !res.Feasible {
+			t.Fatalf("test setup: rung %d at %v is infeasible", i, in.GSLO)
+		}
+	}
+	if st := c.Stats(); st.Misses != rungs || c.Len() != rungs {
+		t.Fatalf("after %d rungs: stats %+v, %d entries (want one cold search and one entry per rung)", rungs, st, c.Len())
+	}
+
+	in.GSLO = covered
+	got := c.Search(in, sig)
+	if st := c.Stats(); st.Misses != rungs || st.IntervalHits != 1 {
+		t.Errorf("target only the oldest entry covers: stats %+v, want %d misses and 1 interval hit", st, rungs)
+	}
+	if fresh := freshAtQuantized(c, in); got.Feasible != fresh.Feasible || !reflect.DeepEqual(got.Paths, fresh.Paths) {
+		t.Errorf("oldest entry's answer differs from a fresh search at %v", covered)
 	}
 }
 
@@ -501,10 +516,6 @@ func TestPlanCacheTableIDsDistinguishOracles(t *testing.T) {
 	if again := c.TableID(small); again != a {
 		t.Errorf("table ID not stable: %q then %q", a, again)
 	}
-	c.Invalidate()
-	if after := c.TableID(small); after == a {
-		t.Errorf("table ID %q survived Invalidate", a)
-	}
 }
 
 func TestPlanCacheConcurrentUse(t *testing.T) {
@@ -534,4 +545,99 @@ func TestPlanCacheConcurrentUse(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
+}
+
+// checkIndex verifies the cache's structural invariants: every group is
+// sorted by hi with disjoint intervals [lo, hi], and the entry count
+// matches Len and stays within capacity.
+func checkIndex(t *testing.T, c *PlanCache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for key, g := range c.groups {
+		n += len(g.entries)
+		for i, e := range g.entries {
+			if e.lo > e.hi || (i > 0 && e.lo <= g.entries[i-1].hi) {
+				t.Fatalf("group %+v entry %d [%v, %v] out of order or overlapping its predecessor", key, i, e.lo, e.hi)
+			}
+		}
+	}
+	if n != c.size || n > c.capacity {
+		t.Fatalf("%d entries, size %d, capacity %d", n, c.size, c.capacity)
+	}
+}
+
+// planCacheLookup encodes one FuzzPlanCache lookup: the signature
+// selector and the target in whole milliseconds above −10 ms.
+func planCacheLookup(sel uint8, ms int) []byte {
+	v := uint16(ms + 10)
+	return []byte{sel, byte(v >> 8), byte(v)}
+}
+
+func FuzzPlanCache(f *testing.F) {
+	// Header: capacity, signature count, then four bytes per signature
+	// (stage pick, queue depth, K and hop, expansion cap); three bytes per
+	// lookup after it (see planCacheLookup). The seeds replay the
+	// controller's descending-target pattern on two and three groups.
+	descending := func(header []byte, sigs int, from, step int) []byte {
+		data := slices.Clone(header)
+		for i := 0; i < 64; i++ {
+			data = append(data, planCacheLookup(uint8(i%sigs), from-step*(i/sigs))...)
+		}
+		return data
+	}
+	f.Add(descending([]byte{15, 0, 10, 0, 4, 1, 21, 3, 0, 1}, 2, 2600, 80))
+	f.Add(descending([]byte{7, 1, 10, 9, 10, 1, 21, 3, 5, 1, 3, 12, 2, 1}, 3, 1800, 70))
+	f.Add(descending([]byte{2, 0, 10, 4, 0, 8, 10, 4, 0, 16}, 2, 1500, 2))
+
+	o := smallOracle()
+	names := profile.Table3Registry().Names()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		capacity := 1 + int(data[0])%16
+		sigs := 2 + int(data[1])%2
+		data = data[2:]
+		if len(data) < 4*sigs {
+			return
+		}
+		inputs := make([]SearchInput, sigs)
+		for i := range inputs {
+			pick, depth, kh, exp := int(data[0]), int(data[1]), int(data[2]), int(data[3])
+			data = data[4:]
+			fns := make([]string, 2+pick%2)
+			for j, p := 0, pick/2; j < len(fns); j, p = j+1, p/len(names) {
+				fns[j] = names[p%len(names)]
+			}
+			inputs[i] = SearchInput{
+				Tables:        tablesFor(o, fns...),
+				MaxFirstBatch: depth % 13,
+				K:             1 + kh%5,
+				Hop:           time.Duration(kh/5%3) * time.Millisecond,
+			}
+			if exp%8 == 0 {
+				inputs[i].MaxExpansions = 1 + exp/8
+			}
+		}
+		c := NewPlanCache(capacity, 5*time.Millisecond)
+		for n := 1; n <= 64 && len(data) >= 3; n++ {
+			s := int(data[0]) % sigs
+			in := inputs[s]
+			in.GSLO = time.Duration(int(data[1])<<8|int(data[2]))%3011*time.Millisecond - 10*time.Millisecond
+			data = data[3:]
+
+			got := c.Search(in, fmt.Sprintf("sig%d", s))
+			want := freshAtQuantized(c, in)
+			if got.Feasible != want.Feasible || !reflect.DeepEqual(got.Paths, want.Paths) {
+				t.Fatalf("lookup %d (sig %d, gslo %v, depth %d, K %d, hop %v, cap %d): cached result differs from a fresh search (stats %+v)",
+					n, s, in.GSLO, in.MaxFirstBatch, in.K, in.Hop, in.MaxExpansions, c.Stats())
+			}
+			if st := c.Stats(); st.Lookups() != uint64(n) {
+				t.Fatalf("after %d lookups the counters sum to %d: %+v", n, st.Lookups(), st)
+			}
+			checkIndex(t, c)
+		}
+	})
 }

@@ -9,7 +9,7 @@
 //
 //   - Cached plans are read-only and capacity-frozen. A SearchResult
 //     returned by PlanCache.Search is shared between the cache and
-//     every past and future caller of the same key; both slice levels
+//     every past and future caller the entry answers; both slice levels
 //     are capacity-capped so appends copy, and CheckMutations/Integrity
 //     detect in-place writes in tests. The same holds for the candidate
 //     list the cache derives once per search: ESG.Plan returns it as
@@ -18,10 +18,10 @@
 //   - Search ties are content-deterministic. The kept top-K paths are
 //     ordered by pathLess (cost, then time, then configurations), never
 //     by arrival or heap-pop order, so the A* search and the reference
-//     engines agree byte for byte, and every cache tier —
-//     exact hit, feasibility-interval hit, cold search — returns the
+//     engines agree byte for byte, and every cache answer — from an
+//     entry's feasibility interval or from a cold search — is the
 //     paths of a fresh search at the same quantized input. Randomized
-//     equivalence tests pin this.
+//     equivalence tests and FuzzPlanCache pin this.
 //   - Quantization is conservative. Queue depths quantize exactly
 //     (every depth in a bucket admits identical config lists); GSLO
 //     targets floor to their bucket, so a reused plan is always at

@@ -80,8 +80,12 @@ func TestPlanetDeterminism(t *testing.T) {
 }
 
 // TestPlanetSharedMemos pins the grid's cold-work sharing: with three
-// arrival shapes over one scheduler the distribution and split memos must
-// see hits from the second cell on (same apps, same SLO).
+// arrival shapes over one scheduler the distribution memo (ESG) and the
+// split and ranking memos (INFless) must see hits from the second cell on
+// (same apps, same SLO). A scheduler asks the split memo once per app and
+// only on a ranking miss, so split hits are cross-cell by construction, a
+// later cell adds no split miss, and a cell whose rankings all hit asks
+// nothing.
 func TestPlanetSharedMemos(t *testing.T) {
 	memos := newPlanetMemos()
 	r := planetRunner(42, 1)
@@ -89,7 +93,6 @@ func TestPlanetSharedMemos(t *testing.T) {
 	if spec.Nodes <= 0 {
 		t.Fatal("miniPlanet must pin Nodes")
 	}
-	spec.Schedulers = []string{ESG}
 	shapes, err := planetShapes("")
 	if err != nil {
 		t.Fatal(err)
@@ -105,5 +108,28 @@ func TestPlanetSharedMemos(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Errorf("distribution memo saw no cross-cell hits: %+v", st)
+	}
+
+	for i, shape := range shapes {
+		splits := memos.splits.Stats()
+		var plans sched.PlanCacheStats
+		if m := memos.plans[INFless]; m != nil {
+			plans = m.Stats()
+		}
+		if err := r.Resolve(r.PlanetCell(INFless, shape, spec, memos)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			continue
+		}
+		if got := memos.splits.Stats(); got.Misses != splits.Misses {
+			t.Errorf("cell %d (%s): split memo %+v after %+v, want no new miss", i, shape, got, splits)
+		}
+		if m := memos.plans[INFless]; m == nil || m.Stats().Hits == plans.Hits {
+			t.Errorf("cell %d (%s): shared ranking memo saw no hits (after %+v)", i, shape, plans)
+		}
+	}
+	if st := memos.splits.Stats(); st.Hits == 0 {
+		t.Errorf("split memo saw no cross-cell hits: %+v", st)
 	}
 }

@@ -90,8 +90,6 @@ type Runner struct {
 	// PlanCache enables the ESG_1Q plan cache on schedulers that support
 	// it (sched.PlanCaching). Each run gets its own cache.
 	PlanCache bool
-	// PlanCacheSize bounds the per-run cache (0 = default).
-	PlanCacheSize int
 	// DisableBaselineMemo turns the always-on baseline plan memo
 	// (INFless/FaST-GShare candidate rankings, see internal/baselines)
 	// off for the runner's cells — the un-memoized reference path for
@@ -161,12 +159,11 @@ func (r *Runner) Trace(level workload.Level) *workload.Trace {
 // warm-up window with the trace when running below full scale.
 func (r *Runner) config(level workload.Level, slo workflow.SLOLevel) controller.Config {
 	cfg := controller.Config{
-		SLOLevel:      slo,
-		Noise:         r.Noise,
-		Overhead:      r.Overhead,
-		Seed:          r.Seed,
-		PlanCache:     r.PlanCache,
-		PlanCacheSize: r.PlanCacheSize,
+		SLOLevel:  slo,
+		Noise:     r.Noise,
+		Overhead:  r.Overhead,
+		Seed:      r.Seed,
+		PlanCache: r.PlanCache,
 	}
 	if r.Scale < 1 {
 		tr := r.Trace(level)

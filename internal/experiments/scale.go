@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/esg-sched/esg/internal/cluster"
@@ -104,11 +105,12 @@ func (r *Runner) ScaleCell(name string, spec ScaleSpec) Cell {
 		// request-fraction warm-up window.
 		cfg.WarmupTime = 1
 		if spec.Replan > 0 && spec.Replan != 1 {
-			q := time.Duration(float64(controller.DefaultQuantum) / spec.Replan)
-			if q < 50*time.Microsecond {
-				q = 50 * time.Microsecond
-			}
-			cfg.Quantum = q
+			// Clamp before converting, since past int64 nanoseconds
+			// (Replan below ~2e-13) the conversion wraps: at least
+			// 50 µs, at most a quarter of the int64 range so the
+			// controller's pass times cannot overflow.
+			q := float64(controller.DefaultQuantum) / spec.Replan
+			cfg.Quantum = time.Duration(min(max(q, float64(50*time.Microsecond)), math.MaxInt64/4))
 		}
 		spec.Xfer.tune(cfg)
 	}

@@ -31,11 +31,10 @@ type Export struct {
 	// so drained exports are byte-identical to pre-flag ones.
 	Truncated bool `json:"truncated,omitempty"`
 
-	PlanCacheHits          uint64 `json:"plan_cache_hits,omitempty"`
-	PlanCacheIntervalHits  uint64 `json:"plan_cache_interval_hits,omitempty"`
-	PlanCacheMisses        uint64 `json:"plan_cache_misses,omitempty"`
-	PlanCacheEvictions     uint64 `json:"plan_cache_evictions,omitempty"`
-	PlanCacheInvalidations uint64 `json:"plan_cache_invalidations,omitempty"`
+	PlanCacheHits         uint64 `json:"plan_cache_hits,omitempty"`
+	PlanCacheIntervalHits uint64 `json:"plan_cache_interval_hits,omitempty"`
+	PlanCacheMisses       uint64 `json:"plan_cache_misses,omitempty"`
+	PlanCacheEvictions    uint64 `json:"plan_cache_evictions,omitempty"`
 
 	// Faults is present only when fault injection touched the run, so
 	// fault-free exports are byte-identical to pre-fault-engine ones.
@@ -121,11 +120,10 @@ func (r *Result) ToExport(includeSeries bool) Export {
 		MissRate:     r.MissRate(),
 		Truncated:    r.Truncated,
 
-		PlanCacheHits:          r.PlanCacheHits,
-		PlanCacheIntervalHits:  r.PlanCacheIntervalHits,
-		PlanCacheMisses:        r.PlanCacheMisses,
-		PlanCacheEvictions:     r.PlanCacheEvictions,
-		PlanCacheInvalidations: r.PlanCacheInvalidations,
+		PlanCacheHits:         r.PlanCacheHits,
+		PlanCacheIntervalHits: r.PlanCacheIntervalHits,
+		PlanCacheMisses:       r.PlanCacheMisses,
+		PlanCacheEvictions:    r.PlanCacheEvictions,
 		OverheadMS: OverheadStats{
 			N: box.N, Min: box.Min, Median: box.Median, Mean: box.Mean, Max: box.Max,
 		},

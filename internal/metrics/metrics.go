@@ -101,11 +101,10 @@ type Result struct {
 	// Plan-cache counters (zero when the scheduler ran without a
 	// memoized search layer). A lookup resolves as exactly one of hit,
 	// interval hit, or miss (a cold search).
-	PlanCacheHits          uint64
-	PlanCacheIntervalHits  uint64
-	PlanCacheMisses        uint64
-	PlanCacheEvictions     uint64
-	PlanCacheInvalidations uint64
+	PlanCacheHits         uint64
+	PlanCacheIntervalHits uint64
+	PlanCacheMisses       uint64
+	PlanCacheEvictions    uint64
 	// PlanCacheResumes is always zero: the plan cache's resume tier was
 	// removed, and the field stays only for code that still reads it.
 	PlanCacheResumes uint64
@@ -408,26 +407,25 @@ func (c *Collector) RecordDroppedJob() { c.faults.DroppedJobs++ }
 // from the cluster and engine; unfinished counts instances never completed.
 func (c *Collector) Finalize(coldStarts, warmStarts, unfinished int, utilCPU, utilGPU float64, simTime time.Duration) *Result {
 	r := &Result{
-		Scheduler:              c.scheduler,
-		Workload:               c.workload,
-		SLOLevel:               c.sloLevel,
-		Tasks:                  c.tasks,
-		ForcedMin:              c.forcedMin,
-		PrePlannedPlans:        c.prePlanned,
-		ConfigMisses:           c.misses,
-		ColdStarts:             coldStarts,
-		WarmStarts:             warmStarts,
-		PlanCacheHits:          c.cache.Hits,
-		PlanCacheIntervalHits:  c.cache.IntervalHits,
-		PlanCacheMisses:        c.cache.Misses,
-		PlanCacheEvictions:     c.cache.Evictions,
-		PlanCacheInvalidations: c.cache.Invalidations,
-		Faults:                 c.faults,
-		Xfer:                   c.xfer,
-		Unfinished:             unfinished,
-		UtilCPU:                utilCPU,
-		UtilGPU:                utilGPU,
-		SimTime:                simTime,
+		Scheduler:             c.scheduler,
+		Workload:              c.workload,
+		SLOLevel:              c.sloLevel,
+		Tasks:                 c.tasks,
+		ForcedMin:             c.forcedMin,
+		PrePlannedPlans:       c.prePlanned,
+		ConfigMisses:          c.misses,
+		ColdStarts:            coldStarts,
+		WarmStarts:            warmStarts,
+		PlanCacheHits:         c.cache.Hits,
+		PlanCacheIntervalHits: c.cache.IntervalHits,
+		PlanCacheMisses:       c.cache.Misses,
+		PlanCacheEvictions:    c.cache.Evictions,
+		Faults:                c.faults,
+		Xfer:                  c.xfer,
+		Unfinished:            unfinished,
+		UtilCPU:               utilCPU,
+		UtilGPU:               utilGPU,
+		SimTime:               simTime,
 	}
 	c.recorder.finalizeInto(r, c.apps)
 	return r

@@ -142,17 +142,17 @@ type ConcurrentPlanner interface {
 
 // PlanCacheStats are the counters of a scheduler's memoized plan search,
 // the one counter type shared by ESG's plan cache, the baselines' plan
-// memo and the run metrics. A lookup resolves as exactly one of Hits
-// (exact key), IntervalHits (a neighboring target bucket's entry answered
-// through its feasibility interval) or Misses (a cold search from
-// scratch). Memo layers without the interval tier — the baselines' plan
-// memo — report only Hits and Misses.
+// memo and the run metrics. A lookup resolves as exactly one of Hits (an
+// entry stored for this very key or target), IntervalHits (an entry
+// searched at another target answered through its feasibility interval)
+// or Misses (a cold search from scratch). Evictions counts entries
+// dropped by the cache's capacity bound. Memo layers without feasibility
+// intervals — the baselines' plan memo — report only Hits and Misses.
 type PlanCacheStats struct {
-	Hits          uint64
-	IntervalHits  uint64
-	Misses        uint64
-	Evictions     uint64
-	Invalidations uint64
+	Hits         uint64
+	IntervalHits uint64
+	Misses       uint64
+	Evictions    uint64
 }
 
 // Lookups returns the total number of memoized searches observed.
