@@ -8,6 +8,7 @@
 package aquatope
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -329,9 +330,7 @@ func (s *Scheduler) train(env *sched.Env, appIndex int) []profile.Config {
 	// The pool's candidates are all drawn before any is predicted;
 	// prediction consumes no randomness, so the draws are unchanged.
 	pool := make([]sample, defaultCandidatePool)
-	feats := make([][]float64, defaultCandidatePool)
-	mus := make([]float64, defaultCandidatePool)
-	sigmas := make([]float64, defaultCandidatePool)
+	acq := &acquisition{gp: gp, penaltyPerMS: penaltyPerMS, sloMS: sloMS}
 	for round := 0; round < s.Rounds; round++ {
 		base := incumbent()
 		for pick := 0; pick < s.PerRound; pick++ {
@@ -343,19 +342,8 @@ func (s *Scheduler) train(env *sched.Env, appIndex int) []profile.Config {
 					cand = s.randomConfigs(env, app.Len(), src)
 				}
 				pool[i] = s.describe(env, appIndex, cand)
-				feats[i] = pool[i].feats
 			}
-			gp.PredictBatch(feats, mus, sigmas)
-			best, bestScore := -1, math.Inf(1)
-			for i, sm := range pool {
-				score := float64(sm.cost) +
-					penaltyPerMS*bo.ExpectedViolation(mus[i], sigmas[i], sloMS) -
-					0.3*penaltyPerMS*sigmas[i]
-				if score < bestScore {
-					best, bestScore = i, score
-				}
-			}
-			obs := s.observe(env, appIndex, pool[best].cfgs, src)
+			obs := s.observe(env, appIndex, pool[acq.pick(pool)].cfgs, src)
 			record(obs)
 			// A numerically degenerate duplicate is left out of the GP but
 			// still counts as the round's pick.
@@ -364,32 +352,142 @@ func (s *Scheduler) train(env *sched.Env, appIndex int) []profile.Config {
 	}
 
 	// Deployment selection: the cheapest observed configuration whose GP
-	// posterior says it meets the SLO with margin; fall back to the
-	// lowest-latency observation.
-	feats = make([][]float64, len(samples))
-	for i, sm := range samples {
-		feats[i] = sm.feats
-	}
-	mus, sigmas = make([]float64, len(samples)), make([]float64, len(samples))
-	gp.PredictBatch(feats, mus, sigmas)
-	var bestFeasible *sample
-	for i := range samples {
-		sm := &samples[i]
-		if mus[i]+0.5*sigmas[i] > sloMS {
+	// posterior says it meets the SLO with margin (μ + σ/2 ≤ L), the
+	// lowest-indexed among equal costs; fall back to the lowest-latency
+	// observation. σ ≥ 0, so a sample whose mean alone exceeds L cannot
+	// meet the SLO and skips the variance solve.
+	for _, i := range byCost {
+		if gp.Mean(samples[i].feats) > sloMS {
 			continue
 		}
-		if bestFeasible == nil || sm.cost < bestFeasible.cost {
-			bestFeasible = sm
+		if mu, sigma := gp.Predict(samples[i].feats); !(mu+0.5*sigma > sloMS) {
+			return samples[i].cfgs
 		}
 	}
-	if bestFeasible == nil {
-		for i := range samples {
-			if bestFeasible == nil || samples[i].latency < bestFeasible.latency {
-				bestFeasible = &samples[i]
+	fastest := &samples[0]
+	for i := range samples {
+		if samples[i].latency < fastest.latency {
+			fastest = &samples[i]
+		}
+	}
+	return fastest.cfgs
+}
+
+// explorationWeight is the acquisition's reward per ms of posterior
+// standard deviation, as a share of the SLO penalty per ms.
+const explorationWeight = 0.3
+
+// acquisitionScore is the score the pool pick minimizes for a candidate of
+// the given cost whose latency the GP predicts as N(mu, sigma²): its cost,
+// plus the penalty on its expected SLO violation, minus a reward for the
+// model's uncertainty about it.
+func acquisitionScore(cost, mu, sigma, penaltyPerMS, sloMS float64) float64 {
+	return cost +
+		penaltyPerMS*bo.ExpectedViolation(mu, sigma, sloMS) -
+		explorationWeight*penaltyPerMS*sigma
+}
+
+// The score floor. Fix μ and L and write h(σ) = EV(μ, σ, L) − 0.3·σ for
+// the σ-dependent part of acquisitionScore (0.3 = explorationWeight).
+// dEV/dσ = φ(z) with z = (μ − L)/σ, so h′(σ) = φ(z) − 0.3. |z| falls as σ
+// grows, so h falls while |z| > c and rises after, where φ(c) = 0.3:
+// c = √(−2·ln(0.3·√(2π))) ≈ 0.755029. At σ = |μ − L|/c the σ terms cancel,
+// which leaves the minimum over every σ ≥ 0:
+//
+//	(μ − L)·Φ(c)  ≈  0.774884·(μ − L)  when μ ≥ L,
+//	(μ − L)·Φ(−c) ≈ −0.225116·(L − μ)  when μ < L.
+//
+// So cost + P·(μ − L)·w bounds the score from below for every σ, with the
+// two weights below rounded to the side that keeps it a lower bound.
+const (
+	floorWeightAbove = 0.7748 // ≤ Φ(c), for μ > L
+	floorWeightBelow = 0.2252 // ≥ Φ(−c), for μ ≤ L
+)
+
+// scoreFloor bounds acquisitionScore from below over every σ ≥ 0; it
+// needs only the posterior mean. penaltyPerMS must be non-negative.
+func scoreFloor(cost, mu, penaltyPerMS, sloMS float64) float64 {
+	w := floorWeightBelow
+	if mu > sloMS {
+		w = floorWeightAbove
+	}
+	return cost + penaltyPerMS*(mu-sloMS)*w
+}
+
+// acquisition picks the next configuration to profile from a candidate
+// pool: the candidate with the smallest acquisitionScore, the
+// lowest-indexed among equal scores. It solves the O(n²) posterior variance
+// only for candidates whose scoreFloor can still beat the best score found
+// so far. Its scratch is reused across one training's picks.
+type acquisition struct {
+	gp           *bo.IncrementalGP
+	penaltyPerMS float64
+	sloMS        float64
+
+	floors []float64 // scoreFloor by pool index
+	order  []int     // distinct candidates in (floor, index) order
+	// group holds the pool indices whose scores one PredictBatch call
+	// computes: four, the right-hand sides the GP's forward solve carries.
+	group       [4]int
+	feats       [4][]float64
+	mus, sigmas [4]float64
+}
+
+// pick returns the index of the pool candidate with the smallest
+// acquisitionScore, the lowest-indexed among equal scores, or −1 when no
+// score is below +Inf. NaN scores are never picked.
+func (a *acquisition) pick(pool []sample) int {
+	a.floors = slices.Grow(a.floors[:0], len(pool))[:len(pool)]
+	a.order = a.order[:0]
+	// spread bounds |cost| + P·|μ − L| over the pool, for the margin.
+	var spread float64
+	for i := range pool {
+		// A repeated candidate has the same features, cost and score as
+		// its first occurrence, which wins the tie.
+		if slices.ContainsFunc(pool[:i], func(o sample) bool { return slices.Equal(o.cfgs, pool[i].cfgs) }) {
+			continue
+		}
+		cost := float64(pool[i].cost)
+		mu := a.gp.Mean(pool[i].feats)
+		a.floors[i] = scoreFloor(cost, mu, a.penaltyPerMS, a.sloMS)
+		a.order = append(a.order, i)
+		spread = max(spread, math.Abs(cost)+a.penaltyPerMS*math.Abs(mu-a.sloMS))
+	}
+	// cmp.Compare orders a NaN floor first, so it is never pruned.
+	slices.SortFunc(a.order, func(i, j int) int {
+		return cmp.Or(cmp.Compare(a.floors[i], a.floors[j]), cmp.Compare(i, j))
+	})
+
+	// The margin covers rounding in the floor and in the score, whose
+	// terms are at most P·(|μ − L| + σ₀) in size: EV ≤ |μ − L| + σ, and σ
+	// never exceeds the prior σ₀. It is pool-wide, so once one floor in
+	// (floor, index) order exceeds the best score by more than it, every
+	// later floor does too. A NaN or infinite spread prunes nothing.
+	sigma0 := math.Sqrt(a.gp.SignalVar + a.gp.NoiseVar)
+	slack := spread + a.penaltyPerMS*sigma0
+	best, bestScore := -1, math.Inf(1)
+	for k := 0; k < len(a.order); {
+		// Gather the next (up to) four candidates; the first whose floor
+		// cannot beat the best score ends the walk.
+		n := 0
+		for ; n < len(a.group) && k < len(a.order); k++ {
+			i := a.order[k]
+			if a.floors[i] > bestScore+1e-9*(slack+math.Abs(bestScore)) {
+				k = len(a.order)
+				break
+			}
+			a.group[n], a.feats[n] = i, pool[i].feats
+			n++
+		}
+		a.gp.PredictBatch(a.feats[:n], a.mus[:], a.sigmas[:])
+		for c, i := range a.group[:n] {
+			score := acquisitionScore(float64(pool[i].cost), a.mus[c], a.sigmas[c], a.penaltyPerMS, a.sloMS)
+			if score < bestScore || score == bestScore && i < best {
+				best, bestScore = i, score
 			}
 		}
 	}
-	return bestFeasible.cfgs
+	return best
 }
 
 // randomConfigs draws a uniform joint configuration from the space.

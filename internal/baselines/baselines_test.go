@@ -6,6 +6,7 @@
 package baselines_test
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -313,15 +314,19 @@ func TestAquatopeTrainedConfigsGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkAquatopeTrain is the offline BO training of one evaluation app
-// at the paper's shape.
+// BenchmarkAquatopeTrain is the offline BO training of each evaluation app
+// at the paper's shape, one sub-benchmark per app (app 3 has five stages).
 func BenchmarkAquatopeTrain(b *testing.B) {
 	e, qs := env(b, workflow.Moderate)
-	q := qs.Get(0, 0)
-	fill(q, e.Apps[0], 0, 1, e.SLOs[0])
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		aquatope.New(42).Plan(e, q, 0)
+	for a, app := range e.Apps {
+		q := qs.Get(a, 0)
+		fill(q, app, a, 1, e.SLOs[a])
+		b.Run(fmt.Sprintf("app%d", a), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				aquatope.New(42).Plan(e, q, 0)
+			}
+		})
 	}
 }
 

@@ -34,9 +34,9 @@
 //     so a path through a pruned configuration has K better ones and is
 //     never in the top-K. The prune ignores GSLO and the hop. The drain
 //     fallback picks by per-job time, not cost, so it reads the
-//     unpruned admitted lists. SearchLevelwise and BruteForceSearch stay
-//     unpruned as independent references, and the randomized oracle
-//     tests compare whole paths.
+//     unpruned admitted lists. BruteForceSearch and the tests' level-wise
+//     sweep (SearchLevelwise) stay unpruned as independent references, and
+//     the randomized oracle tests compare whole paths.
 //   - The A* cost-to-go is time-aware and cannot change plans. A partial
 //     path is priced at its cost, plus each middle stage's cheapest
 //     config, plus the cheapest last-stage config that still fits what
@@ -50,7 +50,7 @@
 //     oracle pin this in tests, FuzzSearch among them.
 //   - The over-constrained fallback is shared and panic-free: when no
 //     configuration passes the admissibility filter under the batch
-//     bound, Search, SearchLevelwise and BruteForceSearch all degrade
-//     through the same overConstrainedFallback (filter first, batch
-//     bound relaxed second), so ablations and the oracle agree.
+//     bound, Search, BruteForceSearch and the tests' SearchLevelwise all
+//     degrade through the same overConstrainedFallback (filter first,
+//     batch bound relaxed second), so ablations and the oracle agree.
 package core

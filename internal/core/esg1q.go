@@ -442,9 +442,9 @@ func estLess(a, b *profile.Estimate) bool {
 // itself excludes every config there is no admissible choice at all;
 // planning must stay total, so it degrades to the fastest batch-admissible
 // config — the fastest overall if even that is empty — instead of
-// panicking. All three engines (Search, SearchLevelwise, BruteForceSearch)
-// share this fallback so the oracle and the optimized engines agree on
-// over-constrained inputs.
+// panicking. Search, BruteForceSearch and the tests' level-wise reference
+// (SearchLevelwise) share this fallback so the oracle and the optimized
+// engine agree on over-constrained inputs.
 func overConstrainedFallback(src []profile.Estimate, maxBatch int, filter func(profile.Config) bool) []profile.Estimate {
 	if filter != nil {
 		for i := range src { // src is latency-ascending: first match is fastest
