@@ -42,12 +42,14 @@ func refPick(gp *bo.IncrementalGP, pool []sample, penaltyPerMS, sloMS float64) i
 // refTrain is a frozen copy of train as first written, with the full-scan
 // pick (refPick) and the full-scan deployment selection: every sample's
 // posterior mean and variance, then the cheapest feasible one in index
-// order.
+// order. Its GP has no grid, so every mean it reads is exact, and every
+// candidate gets fresh buffers.
 func refTrain(s *Scheduler, env *sched.Env, appIndex int) []profile.Config {
 	app := env.Apps[appIndex]
 	src := rng.New(s.Seed ^ (uint64(appIndex)+1)*0x9E3779B97F4A7C15)
 	target := app.BaselineLatency(env.Registry)
 	sloMS := float64(target) / float64(time.Millisecond)
+	grid := bo.NewGrid(0.5, optionFeatures(env.Oracle.Space)...)
 
 	var samples []sample
 	var byCost []int
@@ -57,42 +59,48 @@ func refTrain(s *Scheduler, env *sched.Env, appIndex int) []profile.Config {
 		samples = append(samples, sm)
 	}
 	for i := 0; i < s.Bootstrap; i++ {
-		record(s.observe(env, appIndex, s.randomConfigs(env, app.Len(), src), src))
+		var sm sample
+		s.randomConfigs(env, app.Len(), src, &sm)
+		s.observe(env, appIndex, grid, &sm, src)
+		record(sm)
 	}
 	meanY, varY := meanVar(latencies(samples))
 	gp := bo.NewIncrementalGP(0.5, math.Max(varY, 1), math.Max(0.01*varY, 1e-6), meanY)
 	for _, sm := range samples {
-		if err := gp.Add(sm.feats, sm.latency); err != nil {
+		if err := gp.Add(sm.feats, nil, sm.latency); err != nil {
 			continue
 		}
 	}
 	minCost := s.minPathCost(env, appIndex)
 	penaltyPerMS := 20 * float64(minCost) / math.Max(sloMS, 1)
-	incumbent := func() []profile.Config {
+	incumbent := func() int {
 		for _, i := range byCost {
 			if gp.Mean(samples[i].feats) > sloMS {
 				continue
 			}
-			return samples[i].cfgs
+			return i
 		}
-		return nil
+		return -1
 	}
 	pool := make([]sample, defaultCandidatePool)
 	for round := 0; round < s.Rounds; round++ {
 		base := incumbent()
 		for pick := 0; pick < s.PerRound; pick++ {
 			for i := range pool {
-				var cand []profile.Config
-				if base != nil && i%2 == 1 {
-					cand = s.mutateConfigs(env, base, src)
+				var cand sample
+				if base >= 0 && i%2 == 1 {
+					s.mutateConfigs(env, &samples[base], src, &cand)
 				} else {
-					cand = s.randomConfigs(env, app.Len(), src)
+					s.randomConfigs(env, app.Len(), src, &cand)
 				}
-				pool[i] = s.describe(env, appIndex, cand)
+				s.describe(env, appIndex, grid, &cand)
+				pool[i] = cand
 			}
-			obs := s.observe(env, appIndex, pool[refPick(gp, pool, penaltyPerMS, sloMS)].cfgs, src)
+			picked := pool[refPick(gp, pool, penaltyPerMS, sloMS)]
+			obs := sample{cfgs: picked.cfgs, opts: picked.opts}
+			s.observe(env, appIndex, grid, &obs, src)
 			record(obs)
-			_ = gp.Add(obs.feats, obs.latency)
+			_ = gp.Add(obs.feats, nil, obs.latency)
 		}
 	}
 
@@ -125,7 +133,10 @@ func refTrain(s *Scheduler, env *sched.Env, appIndex int) []profile.Config {
 // evalEnv is the paper's evaluation setting: the four evaluation apps on
 // the default space and pricing. Training reads neither the SLOs nor the
 // cluster's state.
-func evalEnv() *sched.Env {
+func evalEnv() *sched.Env { return spaceEnv(profile.DefaultSpace()) }
+
+// spaceEnv is evalEnv over another configuration space.
+func spaceEnv(space profile.Space) *sched.Env {
 	reg := profile.Table3Registry()
 	apps := workflow.EvaluationApps()
 	slos := make([]time.Duration, len(apps))
@@ -134,7 +145,7 @@ func evalEnv() *sched.Env {
 	}
 	return &sched.Env{
 		Registry: reg,
-		Oracle:   profile.NewOracle(reg, profile.DefaultSpace(), pricing.Default()),
+		Oracle:   profile.NewOracle(reg, space, pricing.Default()),
 		Cluster:  cluster.MustNew(cluster.DefaultConfig()),
 		Apps:     apps,
 		SLOs:     slos,
@@ -144,29 +155,73 @@ func evalEnv() *sched.Env {
 
 // TestTrainingMatchesFullScanReference trains every evaluation app with the
 // pruned pick and deployment scan and with the frozen full scans: the
-// trained configurations must be equal. The quick shape covers 32 seeds;
-// the paper's shape two.
+// trained configurations must be equal. The quick shape covers 32 seeds on
+// the default space and 4 on a space of 384 configurations per stage; the
+// paper's shape two seeds.
 func TestTrainingMatchesFullScanReference(t *testing.T) {
 	type run struct {
 		seed                        uint64
 		bootstrap, rounds, perRound int
+		env                         *sched.Env
 	}
+	env := evalEnv()
+	wide := spaceEnv(profile.Space{
+		Batches: []int{1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 20},
+		CPUs:    []units.VCPU{1, 2, 3, 4, 5, 6, 7, 8},
+		GPUs:    []units.VGPU{1, 2, 4, 7},
+	})
 	var runs []run
 	for seed := uint64(1); seed <= 32; seed++ {
-		runs = append(runs, run{seed, 20, 5, 2})
+		runs = append(runs, run{seed, 20, 5, 2, env})
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		runs = append(runs, run{seed, 20, 5, 2, wide})
 	}
 	if !testing.Short() {
 		for _, seed := range []uint64{42, 7} {
-			runs = append(runs, run{seed, DefaultBootstrap, DefaultRounds, DefaultPerRound})
+			runs = append(runs, run{seed, DefaultBootstrap, DefaultRounds, DefaultPerRound, env})
 		}
 	}
-	env := evalEnv()
 	for _, r := range runs {
 		s := New(r.seed)
 		s.Bootstrap, s.Rounds, s.PerRound = r.bootstrap, r.rounds, r.perRound
+		env := r.env
 		for a := range env.Apps {
-			if got, want := s.train(env, a), refTrain(s, env, a); !slices.Equal(got, want) {
-				t.Errorf("%+v app %d: trained %v, full-scan reference %v", r, a, got, want)
+			got, _ := s.train(env, a)
+			if want := refTrain(s, env, a); !slices.Equal(got, want) {
+				t.Errorf("seed %d shape %d/%d/%d space %d app %d: trained %v, full-scan reference %v",
+					r.seed, r.bootstrap, r.rounds, r.perRound, env.Oracle.Space.Size(), a, got, want)
+			}
+		}
+	}
+}
+
+// TestGridPointsMatchConfigFeatures checks that a configuration's grid
+// point has, bit for bit, the features the trainer computed from its
+// values before the grid existed (frozen below), on every configuration
+// of the default and small spaces.
+func TestGridPointsMatchConfigFeatures(t *testing.T) {
+	frozen := func(space profile.Space, c profile.Config) []float64 {
+		maxB := float64(space.MaxBatch())
+		maxC := float64(space.CPUs[len(space.CPUs)-1])
+		maxG := float64(space.GPUs[len(space.GPUs)-1])
+		return []float64{
+			math.Log2(float64(c.Batch)+1) / math.Log2(maxB+1),
+			float64(c.CPU) / maxC,
+			float64(c.GPU) / maxG,
+		}
+	}
+	for _, space := range []profile.Space{profile.DefaultSpace(), profile.SmallSpace()} {
+		grid := bo.NewGrid(lengthScale, optionFeatures(space)...)
+		for b := range space.Batches {
+			for c := range space.CPUs {
+				for g := range space.GPUs {
+					cfg := profile.Config{Batch: space.Batches[b], CPU: space.CPUs[c], GPU: space.GPUs[g]}
+					got, want := grid.Point(nil, []int32{int32(b), int32(c), int32(g)}), frozen(space, cfg)
+					if !slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+						t.Errorf("%v: grid point %v, features %v", cfg, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -245,34 +300,31 @@ func FuzzAcquisitionPick(f *testing.F) {
 		src := rng.New(seed)
 		m := int(stages)%5 + 1
 		n := int(obs)%64 + 1
-		randomCfgs := func() []profile.Config {
-			out := make([]profile.Config, m)
-			for i := range out {
-				out[i] = profile.Config{
-					Batch: space.Batches[src.IntN(len(space.Batches))],
-					CPU:   space.CPUs[src.IntN(len(space.CPUs))],
-					GPU:   space.GPUs[src.IntN(len(space.GPUs))],
-				}
-			}
-			return out
-		}
+		grid := bo.NewGrid(logScale(ls, 0.01, 10), optionFeatures(space)...)
 		// Cost is a function of the configuration, as in training.
 		scale := logScale(costScale, 1e-3, 1e6)
 		weights := [3]float64{scale * src.Float64(), scale * src.Float64(), scale * src.Float64()}
-		describe := func(cfgs []profile.Config) sample {
+		// random draws a joint configuration and describes it.
+		random := func() sample {
+			sm := sample{cfgs: make([]profile.Config, m), opts: make([]int32, 3*m)}
 			var cost float64
-			for _, c := range cfgs {
-				cost += weights[0]*float64(c.Batch) + weights[1]*float64(c.CPU) + weights[2]*float64(c.GPU)
+			for i := range sm.cfgs {
+				b, c, g := src.IntN(len(space.Batches)), src.IntN(len(space.CPUs)), src.IntN(len(space.GPUs))
+				sm.cfgs[i] = profile.Config{Batch: space.Batches[b], CPU: space.CPUs[c], GPU: space.GPUs[g]}
+				sm.opts[3*i], sm.opts[3*i+1], sm.opts[3*i+2] = int32(b), int32(c), int32(g)
+				cost += weights[0]*float64(sm.cfgs[i].Batch) + weights[1]*float64(sm.cfgs[i].CPU) + weights[2]*float64(sm.cfgs[i].GPU)
 			}
-			return sample{cfgs: cfgs, feats: features(space, cfgs), cost: units.Money(cost)}
+			sm.feats, sm.cost = grid.Point(nil, sm.opts), units.Money(cost)
+			return sm
 		}
 
 		signalVar := logScale(sv, 1e-3, 1e4)
 		meanY := 100 * src.Float64()
-		gp := bo.NewIncrementalGP(logScale(ls, 0.01, 10), signalVar, logScale(nv, 1e-6, 1e2), meanY)
+		gp := bo.NewGridGP(grid, signalVar, logScale(nv, 1e-6, 1e2), meanY)
 		for i := 0; i < n; i++ {
 			y := meanY + math.Sqrt(signalVar)*(2*src.Float64()-1)*2
-			_ = gp.Add(describe(randomCfgs()).feats, y) // a degenerate repeat is skipped, as in training
+			sm := random()
+			_ = gp.Add(sm.feats, sm.opts, y) // a degenerate repeat is skipped, as in training
 		}
 		p := 0.0
 		if penalty > 0 {
@@ -287,7 +339,7 @@ func FuzzAcquisitionPick(f *testing.F) {
 					pool[i] = pool[src.IntN(i)]
 					continue
 				}
-				pool[i] = describe(randomCfgs())
+				pool[i] = random()
 			}
 			slo := meanY + float64(sloCode)/64*math.Sqrt(signalVar)
 			if atMean {
@@ -301,4 +353,31 @@ func FuzzAcquisitionPick(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestTrainingWork pins the GP work of training the four evaluation apps
+// at the paper's shape and seed 42: exact kernel rows, table-bound rows
+// and variance solves per app. The trained configurations are pinned
+// elsewhere; this catches work that grows while they stay the same, as
+// when the mean bound loosens and the pick falls back to exact rows.
+func TestTrainingWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains four apps at the paper's shape")
+	}
+	want := []bo.Work{
+		{ExactRows: 1359, BoundRows: 13317, Solves: 1009},
+		{ExactRows: 1362, BoundRows: 15083, Solves: 1012},
+		{ExactRows: 1352, BoundRows: 15141, Solves: 1002},
+		{ExactRows: 1711, BoundRows: 15679, Solves: 1361},
+	}
+	env := evalEnv()
+	if len(env.Apps) != len(want) {
+		t.Fatalf("%d evaluation apps, want %d", len(env.Apps), len(want))
+	}
+	s := New(42)
+	for a := range env.Apps {
+		if _, got := s.train(env, a); got != want[a] {
+			t.Errorf("app %d: work %+v, want %+v", a, got, want[a])
+		}
+	}
 }

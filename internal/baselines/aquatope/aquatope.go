@@ -227,13 +227,17 @@ func (s *Scheduler) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.
 // parts (apps, registry, oracle, noise, transfer model).
 func (s *Scheduler) trainCached(env *sched.Env, appIndex int) []profile.Config {
 	if s.Memo == nil {
-		return s.train(env, appIndex)
+		cfgs, _ := s.train(env, appIndex)
+		return cfgs
 	}
 	if s.keys == nil {
 		s.keys = make([]string, len(env.Apps))
 		for i := range env.Apps {
 			s.keys[i] = s.trainingKey(env, i)
-			s.Memo.enqueue(s.keys[i], func() []profile.Config { return s.train(env, i) })
+			s.Memo.enqueue(s.keys[i], func() []profile.Config {
+				cfgs, _ := s.train(env, i)
+				return cfgs
+			})
 		}
 	}
 	return s.Memo.cfgs(s.keys[appIndex])
@@ -263,24 +267,30 @@ func (s *Scheduler) trainingKey(env *sched.Env, appIndex int) string {
 	return sb.String()
 }
 
-// sample is one offline profiling observation.
+// sample is one joint configuration of an application: an acquisition
+// candidate, or once observed an offline profiling observation.
 type sample struct {
-	cfgs    []profile.Config
+	cfgs []profile.Config
+	// opts holds each stage's batch, vCPU and vGPU option indices in the
+	// space, three per stage: the configuration's point on the GP's grid.
+	opts    []int32
 	feats   []float64
 	latency float64 // observed noisy end-to-end latency, milliseconds
 	cost    units.Money
 }
 
-// train runs the offline BO process for one application. Training targets
-// the application's nominal latency L (the moderate objective) rather than
-// the deployed SLO: the offline process profiles the application in
-// isolation and cannot anticipate the deployment's SLO tightness or queue
-// dynamics — the rigidity §5.2 and Table 4 quantify.
-func (s *Scheduler) train(env *sched.Env, appIndex int) []profile.Config {
+// train runs the offline BO process for one application and returns the
+// configurations it deploys and the GP's work. Training targets the
+// application's nominal latency L (the moderate objective) rather than the
+// deployed SLO: the offline process profiles the application in isolation
+// and cannot anticipate the deployment's SLO tightness or queue dynamics —
+// the rigidity §5.2 and Table 4 quantify.
+func (s *Scheduler) train(env *sched.Env, appIndex int) ([]profile.Config, bo.Work) {
 	app := env.Apps[appIndex]
 	src := rng.New(s.Seed ^ (uint64(appIndex)+1)*0x9E3779B97F4A7C15)
 	target := app.BaselineLatency(env.Registry)
 	sloMS := float64(target) / float64(time.Millisecond)
+	grid := bo.NewGrid(lengthScale, optionFeatures(env.Oracle.Space)...)
 
 	// samples holds every observation; byCost lists their indices in
 	// (cost, index) order.
@@ -294,15 +304,18 @@ func (s *Scheduler) train(env *sched.Env, appIndex int) []profile.Config {
 
 	// Bootstrap: random joint configurations.
 	for i := 0; i < s.Bootstrap; i++ {
-		record(s.observe(env, appIndex, s.randomConfigs(env, app.Len(), src), src))
+		var sm sample
+		s.randomConfigs(env, app.Len(), src, &sm)
+		s.observe(env, appIndex, grid, &sm, src)
+		record(sm)
 	}
 
 	// Fit priors from the bootstrap set, then run acquisition rounds with
 	// incremental GP updates.
 	meanY, varY := meanVar(latencies(samples))
-	gp := bo.NewIncrementalGP(0.5, math.Max(varY, 1), math.Max(0.01*varY, 1e-6), meanY)
+	gp := bo.NewGridGP(grid, math.Max(varY, 1), math.Max(0.01*varY, 1e-6), meanY)
 	for _, sm := range samples {
-		if err := gp.Add(sm.feats, sm.latency); err != nil {
+		if err := gp.Add(sm.feats, sm.opts, sm.latency); err != nil {
 			// Numerically degenerate duplicate; skip the point.
 			continue
 		}
@@ -313,41 +326,43 @@ func (s *Scheduler) train(env *sched.Env, appIndex int) []profile.Config {
 	minCost := s.minPathCost(env, appIndex)
 	penaltyPerMS := 20 * float64(minCost) / math.Max(sloMS, 1)
 
-	// incumbent is the cheapest sample the GP currently believes feasible,
-	// the lowest-indexed among equal costs; acquisition candidates mix
-	// global random draws with local mutations of it (standard acquisition
-	// maximization practice).
-	incumbent := func() []profile.Config {
+	// incumbent is the index of the cheapest sample the GP currently
+	// believes feasible, the lowest-indexed among equal costs, or −1;
+	// acquisition candidates mix global random draws with local mutations
+	// of it (standard acquisition maximization practice).
+	incumbent := func() int {
 		for _, i := range byCost {
-			if gp.Mean(samples[i].feats) > sloMS {
-				continue
+			if !meanAbove(gp, &samples[i], sloMS) {
+				return i
 			}
-			return samples[i].cfgs
 		}
-		return nil
+		return -1
 	}
 
 	// The pool's candidates are all drawn before any is predicted;
-	// prediction consumes no randomness, so the draws are unchanged.
+	// prediction consumes no randomness, so the draws are unchanged. Each
+	// slot keeps its buffers across picks, and the picked candidate is
+	// copied out before it is observed, so no sample aliases a slot.
 	pool := make([]sample, defaultCandidatePool)
 	acq := &acquisition{gp: gp, penaltyPerMS: penaltyPerMS, sloMS: sloMS}
 	for round := 0; round < s.Rounds; round++ {
 		base := incumbent()
 		for pick := 0; pick < s.PerRound; pick++ {
 			for i := range pool {
-				var cand []profile.Config
-				if base != nil && i%2 == 1 {
-					cand = s.mutateConfigs(env, base, src)
+				if base >= 0 && i%2 == 1 {
+					s.mutateConfigs(env, &samples[base], src, &pool[i])
 				} else {
-					cand = s.randomConfigs(env, app.Len(), src)
+					s.randomConfigs(env, app.Len(), src, &pool[i])
 				}
-				pool[i] = s.describe(env, appIndex, cand)
+				s.describe(env, appIndex, grid, &pool[i])
 			}
-			obs := s.observe(env, appIndex, pool[acq.pick(pool)].cfgs, src)
+			picked := &pool[acq.pick(pool)]
+			obs := sample{cfgs: slices.Clone(picked.cfgs), opts: slices.Clone(picked.opts)}
+			s.observe(env, appIndex, grid, &obs, src)
 			record(obs)
 			// A numerically degenerate duplicate is left out of the GP but
 			// still counts as the round's pick.
-			_ = gp.Add(obs.feats, obs.latency)
+			_ = gp.Add(obs.feats, obs.opts, obs.latency)
 		}
 	}
 
@@ -357,11 +372,11 @@ func (s *Scheduler) train(env *sched.Env, appIndex int) []profile.Config {
 	// observation. σ ≥ 0, so a sample whose mean alone exceeds L cannot
 	// meet the SLO and skips the variance solve.
 	for _, i := range byCost {
-		if gp.Mean(samples[i].feats) > sloMS {
+		if meanAbove(gp, &samples[i], sloMS) {
 			continue
 		}
 		if mu, sigma := gp.Predict(samples[i].feats); !(mu+0.5*sigma > sloMS) {
-			return samples[i].cfgs
+			return samples[i].cfgs, gp.Work
 		}
 	}
 	fastest := &samples[0]
@@ -370,7 +385,22 @@ func (s *Scheduler) train(env *sched.Env, appIndex int) []profile.Config {
 			fastest = &samples[i]
 		}
 	}
-	return fastest.cfgs
+	return fastest.cfgs, gp.Work
+}
+
+// lengthScale is the GP kernel's length scale over the normalized
+// features.
+const lengthScale = 0.5
+
+// meanAbove reports whether the GP's posterior mean at sm exceeds limit,
+// exactly as gp.Mean(sm.feats) > limit does. The table bound settles the
+// test when μ̃ is more than δ away from limit; only otherwise does it cost
+// an exact kernel row.
+func meanAbove(gp *bo.IncrementalGP, sm *sample, limit float64) bool {
+	if mu, delta := gp.MeanBound(sm.opts); math.Abs(mu-limit) > delta {
+		return mu > limit
+	}
+	return gp.Mean(sm.feats) > limit
 }
 
 // explorationWeight is the acquisition's reward per ms of posterior
@@ -418,7 +448,10 @@ func scoreFloor(cost, mu, penaltyPerMS, sloMS float64) float64 {
 // pool: the candidate with the smallest acquisitionScore, the
 // lowest-indexed among equal scores. It solves the O(n²) posterior variance
 // only for candidates whose scoreFloor can still beat the best score found
-// so far. Its scratch is reused across one training's picks.
+// so far, and ranks them by a floor taken at μ̃ − δ, the low end of the GP's
+// table bound on the mean: scoreFloor is non-decreasing in μ, so that floor
+// is below the exact one. Its scratch is reused across one training's
+// picks.
 type acquisition struct {
 	gp           *bo.IncrementalGP
 	penaltyPerMS float64
@@ -439,19 +472,20 @@ type acquisition struct {
 func (a *acquisition) pick(pool []sample) int {
 	a.floors = slices.Grow(a.floors[:0], len(pool))[:len(pool)]
 	a.order = a.order[:0]
-	// spread bounds |cost| + P·|μ − L| over the pool, for the margin.
+	// spread bounds |cost| + P·|μ − L| over the pool, for the margin:
+	// |μ − L| ≤ |μ̃ − L| + δ.
 	var spread float64
 	for i := range pool {
 		// A repeated candidate has the same features, cost and score as
 		// its first occurrence, which wins the tie.
-		if slices.ContainsFunc(pool[:i], func(o sample) bool { return slices.Equal(o.cfgs, pool[i].cfgs) }) {
+		if repeats(pool, i) {
 			continue
 		}
 		cost := float64(pool[i].cost)
-		mu := a.gp.Mean(pool[i].feats)
-		a.floors[i] = scoreFloor(cost, mu, a.penaltyPerMS, a.sloMS)
+		mu, delta := a.gp.MeanBound(pool[i].opts)
+		a.floors[i] = scoreFloor(cost, mu-delta, a.penaltyPerMS, a.sloMS)
 		a.order = append(a.order, i)
-		spread = max(spread, math.Abs(cost)+a.penaltyPerMS*math.Abs(mu-a.sloMS))
+		spread = max(spread, math.Abs(cost)+a.penaltyPerMS*(math.Abs(mu-a.sloMS)+delta))
 	}
 	// cmp.Compare orders a NaN floor first, so it is never pruned.
 	slices.SortFunc(a.order, func(i, j int) int {
@@ -490,43 +524,60 @@ func (a *acquisition) pick(pool []sample) int {
 	return best
 }
 
-// randomConfigs draws a uniform joint configuration from the space.
-func (s *Scheduler) randomConfigs(env *sched.Env, stages int, src *rng.Source) []profile.Config {
-	space := env.Oracle.Space
-	out := make([]profile.Config, stages)
-	for i := range out {
-		out[i] = profile.Config{
-			Batch: space.Batches[src.IntN(len(space.Batches))],
-			CPU:   space.CPUs[src.IntN(len(space.CPUs))],
-			GPU:   space.GPUs[src.IntN(len(space.GPUs))],
+// repeats reports whether pool[i]'s configuration repeats an earlier
+// candidate's.
+func repeats(pool []sample, i int) bool {
+	for j := range pool[:i] {
+		if slices.Equal(pool[j].cfgs, pool[i].cfgs) {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
-// mutateConfigs perturbs one or two dimensions of a base joint
-// configuration by one option step.
-func (s *Scheduler) mutateConfigs(env *sched.Env, base []profile.Config, src *rng.Source) []profile.Config {
+// randomConfigs draws a uniform joint configuration from the space into
+// sm's configurations and option indices.
+func (s *Scheduler) randomConfigs(env *sched.Env, stages int, src *rng.Source, sm *sample) {
 	space := env.Oracle.Space
-	out := append([]profile.Config(nil), base...)
+	sm.cfgs = slices.Grow(sm.cfgs[:0], stages)[:stages]
+	sm.opts = slices.Grow(sm.opts[:0], 3*stages)[:3*stages]
+	for i := range sm.cfgs {
+		b := src.IntN(len(space.Batches))
+		c := src.IntN(len(space.CPUs))
+		g := src.IntN(len(space.GPUs))
+		sm.cfgs[i] = profile.Config{Batch: space.Batches[b], CPU: space.CPUs[c], GPU: space.GPUs[g]}
+		sm.opts[3*i], sm.opts[3*i+1], sm.opts[3*i+2] = int32(b), int32(c), int32(g)
+	}
+}
+
+// mutateConfigs stores in sm a base joint configuration with one or two
+// dimensions perturbed by one option step.
+func (s *Scheduler) mutateConfigs(env *sched.Env, base *sample, src *rng.Source, sm *sample) {
+	space := env.Oracle.Space
+	sm.cfgs = append(sm.cfgs[:0], base.cfgs...)
+	sm.opts = append(sm.opts[:0], base.opts...)
 	muts := 1 + src.IntN(2)
 	for m := 0; m < muts; m++ {
-		st := src.IntN(len(out))
+		st := src.IntN(len(sm.cfgs))
 		dim := src.IntN(3)
+		cfg, opt := &sm.cfgs[st], &sm.opts[3*st+dim]
 		switch dim {
 		case 0:
-			out[st].Batch = stepOption(space.Batches, out[st].Batch, src)
+			*opt = stepOption(space.Batches, cfg.Batch, src)
+			cfg.Batch = space.Batches[*opt]
 		case 1:
-			out[st].CPU = stepOption(space.CPUs, out[st].CPU, src)
+			*opt = stepOption(space.CPUs, cfg.CPU, src)
+			cfg.CPU = space.CPUs[*opt]
 		default:
-			out[st].GPU = stepOption(space.GPUs, out[st].GPU, src)
+			*opt = stepOption(space.GPUs, cfg.GPU, src)
+			cfg.GPU = space.GPUs[*opt]
 		}
 	}
-	return out
 }
 
-// stepOption moves v one step up or down within the option list.
-func stepOption[T comparable](opts []T, v T, src *rng.Source) T {
+// stepOption returns the index one step up or down from v's first
+// occurrence in the option list.
+func stepOption[T comparable](opts []T, v T, src *rng.Source) int32 {
 	idx := 0
 	for i, o := range opts {
 		if o == v {
@@ -545,27 +596,28 @@ func stepOption[T comparable](opts []T, v T, src *rng.Source) T {
 	if idx >= len(opts) {
 		idx = len(opts) - 1
 	}
-	return opts[idx]
+	return int32(idx)
 }
 
-// describe computes features and deterministic cost without observing.
-func (s *Scheduler) describe(env *sched.Env, appIndex int, cfgs []profile.Config) sample {
+// describe stores sm's features and deterministic cost without observing.
+func (s *Scheduler) describe(env *sched.Env, appIndex int, grid *bo.Grid, sm *sample) {
 	app := env.Apps[appIndex]
-	sm := sample{cfgs: cfgs, feats: features(env.Oracle.Space, cfgs)}
-	for i, cfg := range cfgs {
+	sm.feats = grid.Point(sm.feats, sm.opts)
+	sm.cost = 0
+	for i, cfg := range sm.cfgs {
 		est := env.Oracle.Estimate(app.Stage(i).Function, cfg)
 		sm.cost += est.JobCost
 	}
-	return sm
 }
 
-// observe runs one offline profiling execution: deterministic cost plus a
-// noisy end-to-end latency drawn through the platform's noise model.
-func (s *Scheduler) observe(env *sched.Env, appIndex int, cfgs []profile.Config, src *rng.Source) sample {
+// observe runs one offline profiling execution of sm's configuration:
+// deterministic cost plus a noisy end-to-end latency drawn through the
+// platform's noise model.
+func (s *Scheduler) observe(env *sched.Env, appIndex int, grid *bo.Grid, sm *sample, src *rng.Source) {
 	app := env.Apps[appIndex]
-	sm := s.describe(env, appIndex, cfgs)
+	s.describe(env, appIndex, grid, sm)
 	var lat time.Duration
-	for i, cfg := range cfgs {
+	for i, cfg := range sm.cfgs {
 		est := env.Oracle.Estimate(app.Stage(i).Function, cfg)
 		lat += env.Noise.Sample(est.Time, src)
 		if i > 0 {
@@ -573,7 +625,6 @@ func (s *Scheduler) observe(env *sched.Env, appIndex int, cfgs []profile.Config,
 		}
 	}
 	sm.latency = float64(lat) / float64(time.Millisecond)
-	return sm
 }
 
 // minPathCost sums the cheapest per-stage job costs.
@@ -586,18 +637,27 @@ func (s *Scheduler) minPathCost(env *sched.Env, appIndex int) units.Money {
 	return c
 }
 
-// features normalizes a joint configuration into [0,1]^(3·stages).
-func features(space profile.Space, cfgs []profile.Config) []float64 {
+// optionFeatures normalizes each option of the space into [0,1]: batch on
+// a log scale, vCPU and vGPU linearly. They are the coordinates of the
+// GP's grid, so a joint configuration's features are its stages' option
+// features, three per stage.
+func optionFeatures(space profile.Space) [][]float64 {
 	maxB := float64(space.MaxBatch())
 	maxC := float64(space.CPUs[len(space.CPUs)-1])
 	maxG := float64(space.GPUs[len(space.GPUs)-1])
-	out := make([]float64, 0, 3*len(cfgs))
-	for _, c := range cfgs {
-		out = append(out,
-			math.Log2(float64(c.Batch)+1)/math.Log2(maxB+1),
-			float64(c.CPU)/maxC,
-			float64(c.GPU)/maxG,
-		)
+	out := [][]float64{
+		make([]float64, len(space.Batches)),
+		make([]float64, len(space.CPUs)),
+		make([]float64, len(space.GPUs)),
+	}
+	for i, b := range space.Batches {
+		out[0][i] = math.Log2(float64(b)+1) / math.Log2(maxB+1)
+	}
+	for i, c := range space.CPUs {
+		out[1][i] = float64(c) / maxC
+	}
+	for i, g := range space.GPUs {
+		out[2][i] = float64(g) / maxG
 	}
 	return out
 }

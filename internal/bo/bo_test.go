@@ -83,7 +83,7 @@ func TestIncrementalMatchesBatchGP(t *testing.T) {
 	mean /= float64(len(ys))
 	inc := NewIncrementalGP(0.5, batch.SignalVar, batch.NoiseVar, mean)
 	for i := range xs {
-		if err := inc.Add(xs[i], ys[i]); err != nil {
+		if err := inc.Add(xs[i], nil, ys[i]); err != nil {
 			t.Fatalf("add %d: %v", i, err)
 		}
 	}
@@ -286,7 +286,7 @@ func TestIncrementalFastPathsMatchFrozenPredict(t *testing.T) {
 					x = ref.x[src.IntN(len(ref.x))] // a duplicate input
 				}
 				y := mean + signal*src.Normal()
-				if errInc, okRef := g.Add(x, y), ref.add(x, y); (errInc == nil) != okRef {
+				if errInc, okRef := g.Add(x, nil, y), ref.add(x, y); (errInc == nil) != okRef {
 					t.Fatalf("batch %d: Add accepted=%v, frozen accepted=%v", batch, errInc == nil, okRef)
 				}
 			}
@@ -321,20 +321,32 @@ var sinkFloat float64
 // allocations: they reuse the GP's scratch buffers.
 func TestIncrementalPredictAllocs(t *testing.T) {
 	src := rng.New(3)
-	g := NewIncrementalGP(0.5, 1, 0.01, 0)
-	for g.Len() < 50 {
-		_ = g.Add(randPoint(src, 6), src.Normal())
+	grid := randomGrid(src, blockShapes[27], 0.5)
+	g := NewGridGP(grid, 1, 0.01, 0)
+	point := func() []int32 {
+		opts := make([]int32, 6)
+		for k := range opts {
+			opts[k] = int32(src.IntN(3))
+		}
+		return opts
 	}
+	for g.Len() < 50 {
+		opts := point()
+		_ = g.Add(grid.Point(nil, opts), opts, src.Normal())
+	}
+	opts := point()
 	ps := make([][]float64, 9)
 	for i := range ps {
-		ps[i] = randPoint(src, 6)
+		ps[i] = grid.Point(nil, point())
 	}
 	mu, sigma := make([]float64, len(ps)), make([]float64, len(ps))
 	g.PredictBatch(ps, mu, sigma)
+	g.MeanBound(opts)
 	for name, f := range map[string]func(){
 		"Mean":         func() { sinkFloat = g.Mean(ps[0]) },
 		"Predict":      func() { sinkFloat, _ = g.Predict(ps[1]) },
 		"PredictBatch": func() { g.PredictBatch(ps, mu, sigma) },
+		"MeanBound":    func() { sinkFloat, _ = g.MeanBound(opts) },
 	} {
 		if allocs := testing.AllocsPerRun(50, f); allocs != 0 {
 			t.Errorf("warm %s allocates %v times per call, want 0", name, allocs)
@@ -348,7 +360,7 @@ func BenchmarkIncrementalGPPredictBatch(b *testing.B) {
 	src := rng.New(1)
 	g := NewIncrementalGP(0.5, 1, 0.01, 0)
 	for g.Len() < 300 {
-		_ = g.Add(randPoint(src, 9), src.Normal())
+		_ = g.Add(randPoint(src, 9), nil, src.Normal())
 	}
 	ps := make([][]float64, 60)
 	for i := range ps {

@@ -1,8 +1,9 @@
 // Package bo implements the Bayesian-optimization machinery backing the
 // Aquatope baseline (§4.2): Gaussian-process regression with an RBF kernel
 // over normalized configuration features, grown one observation at a
-// time, plus the expected constraint violation the offline trainer's
-// acquisition function penalizes.
+// time, a cheap bound on its posterior mean over an option grid, plus the
+// expected constraint violation the offline trainer's acquisition
+// function penalizes.
 package bo
 
 import (
@@ -24,19 +25,42 @@ type IncrementalGP struct {
 	NoiseVar    float64
 	meanY       float64
 
+	// Work counts what the GP has computed so far.
+	Work Work
+
 	x [][]float64
-	y []float64
 	// l is the growing lower-triangular Cholesky factor, row i of length
 	// i+1.
 	l [][]float64
+	// z is L⁻¹·(y − meanY), one entry per observation.
+	z []float64
 
-	alpha      []float64
-	alphaDirty bool
+	// alpha solves Lᵀ·alpha = z; absAlpha holds |alpha| and absAlphaSum
+	// its sum, for MeanBound's error bound.
+	alpha, absAlpha []float64
+	absAlphaSum     float64
+	alphaDirty      bool
+
+	// grid, when set, is the option grid every point lies on, and
+	// blocks[b] holds block b's tuple index of each observation, in the
+	// order of x.
+	grid   *Grid
+	blocks [][]int32
 
 	// ks and kb are prediction scratch: the kernel row of one point, and
-	// of the four points a batched forward solve carries.
-	ks []float64
-	kb [4][]float64
+	// of the four points a batched forward solve carries; prod is
+	// MeanBound's, the table's kernel factor per observation.
+	ks   []float64
+	kb   [4][]float64
+	prod []float64
+}
+
+// Work counts a GP's deterministic work: exact kernel rows (n math.Exp
+// calls each, for Add and the exact predictions), table-bound rows
+// (MeanBound) and variance solves (one per point Predict or PredictBatch
+// returns a standard deviation for).
+type Work struct {
+	ExactRows, BoundRows, Solves int
 }
 
 // NewIncrementalGP creates an empty incremental GP with fixed
@@ -60,6 +84,15 @@ func NewIncrementalGP(lengthScale, signalVar, noiseVar, meanY float64) *Incremen
 	}
 }
 
+// NewGridGP is NewIncrementalGP over an option grid, with the grid's
+// length scale: every point it is given lies on the grid, and MeanBound
+// bounds its posterior mean from the grid's kernel table.
+func NewGridGP(t *Grid, signalVar, noiseVar, meanY float64) *IncrementalGP {
+	g := NewIncrementalGP(t.lengthScale, signalVar, noiseVar, meanY)
+	g.grid = t
+	return g
+}
+
 // Len returns the number of observations.
 func (g *IncrementalGP) Len() int { return len(g.x) }
 
@@ -75,6 +108,7 @@ func (g *IncrementalGP) kernel(a, b []float64) float64 {
 // kernelRow returns the kernel of p against every observation, stored in
 // dst's backing array when it is large enough.
 func (g *IncrementalGP) kernelRow(dst, p []float64) []float64 {
+	g.Work.ExactRows++
 	dst = slices.Grow(dst[:0], len(g.x))[:len(g.x)]
 	for i, x := range g.x {
 		dst[i] = g.kernel(p, x)
@@ -119,7 +153,10 @@ func (g *IncrementalGP) forward4(v0, v1, v2, v3 []float64) {
 }
 
 // Add appends one observation, extending the Cholesky factor by one row.
-func (g *IncrementalGP) Add(x []float64, y float64) error {
+// On a GP over a grid, opts names the option each coordinate of x takes
+// (x is the grid's Point(opts)); other GPs ignore it. A point Add rejects
+// stays out of the model.
+func (g *IncrementalGP) Add(x []float64, opts []int32, y float64) error {
 	// The new row is L⁻¹ times the kernel column against the existing
 	// points, then the diagonal.
 	row := g.kernelRow(make([]float64, 0, len(g.x)+1), x)
@@ -128,33 +165,49 @@ func (g *IncrementalGP) Add(x []float64, y float64) error {
 	if diag <= 0 {
 		return fmt.Errorf("bo: incremental update lost positive definiteness (diag=%g)", diag)
 	}
-	g.l = append(g.l, append(row, math.Sqrt(diag)))
+	d := math.Sqrt(diag)
+	// z's new entry is forward substitution's last row on y − meanY: the
+	// same operations in forward's order, so the same bits.
+	sum := y - g.meanY
+	for j, l := range row {
+		sum -= l * g.z[j]
+	}
+	g.z = append(g.z, sum/d)
+	g.l = append(g.l, append(row, d))
 	g.x = append(g.x, x)
-	g.y = append(g.y, y)
+	if t := g.grid; t != nil {
+		if g.blocks == nil {
+			g.blocks = make([][]int32, len(opts)/len(t.options))
+		}
+		for b := range g.blocks {
+			g.blocks[b] = append(g.blocks[b], t.block(opts, b))
+		}
+	}
 	g.alphaDirty = true
 	return nil
 }
 
+// refreshAlpha solves Lᵀ·alpha = z by back substitution.
 func (g *IncrementalGP) refreshAlpha() {
 	if !g.alphaDirty {
 		return
 	}
 	n := len(g.x)
-	// Solve L·z = (y − mean), then Lᵀ·alpha = z.
-	z := make([]float64, n)
-	for i, y := range g.y {
-		z[i] = y - g.meanY
-	}
-	g.forward(z)
 	alpha := slices.Grow(g.alpha[:0], n)[:n]
 	for i := n - 1; i >= 0; i-- {
-		sum := z[i]
+		sum := g.z[i]
 		for k := i + 1; k < n; k++ {
 			sum -= g.l[k][i] * alpha[k]
 		}
 		alpha[i] = sum / g.l[i][i]
 	}
 	g.alpha = alpha
+	g.absAlpha = slices.Grow(g.absAlpha[:0], n)[:n]
+	g.absAlphaSum = 0
+	for i, a := range alpha {
+		g.absAlpha[i] = math.Abs(a)
+		g.absAlphaSum += g.absAlpha[i]
+	}
 	g.alphaDirty = false
 }
 
@@ -176,6 +229,7 @@ func (g *IncrementalGP) Predict(p []float64) (mu, sigma float64) {
 	}
 	mu = g.Mean(p)
 	g.forward(g.ks)
+	g.Work.Solves++
 	return mu, g.stddev(g.ks)
 }
 
@@ -193,6 +247,7 @@ func (g *IncrementalGP) PredictBatch(ps [][]float64, mu, sigma []float64) {
 				mu[i+c] = g.meanY + dot(k[c], g.alpha)
 			}
 			g.forward4(k[0], k[1], k[2], k[3])
+			g.Work.Solves += len(k)
 			for c := range k {
 				sigma[i+c] = g.stddev(k[c])
 			}
