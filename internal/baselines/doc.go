@@ -1,10 +1,12 @@
 // Package baselines hosts the shared machinery of the paper's four
-// comparison schedulers (§4.2), whose implementations live in the
-// subpackages infless, fastgshare, orion and aquatope. The package itself
-// provides the baseline plan-memo layer: the per-(app, stage, quantized
-// batch bound) candidate-ranking cache INFless and FaST-GShare share. It
-// also provides Ladder, the allocation-free Plan step Orion, Aquatope and
-// GSwarm share for their pre-planned configurations.
+// comparison schedulers (§4.2) and the two extension baselines, whose
+// implementations live in the subpackages infless, fastgshare, orion,
+// aquatope, gswarm and hasgpu. The package itself provides Ranker, the one
+// Plan step of the ranking baselines (INFless, FaST-GShare, HAS-GPU), and
+// its plan-memo layer: the per-(app, stage, quantized batch bound)
+// candidate-ranking cache. It also provides Ladder, the allocation-free
+// Plan step Orion, Aquatope and GSwarm share for their pre-planned
+// configurations.
 //
 // Invariants (the PR 3 plan-cache contract, applied to the baselines):
 //
@@ -13,10 +15,10 @@
 //     future caller of the same key, so appending copies and writing
 //     elements in place is a bug. Memo.CheckMutations/Integrity enforce
 //     this in tests, exactly like core.PlanCache.
-//   - Rankings are content-deterministic: the comparators of INFless and
-//     FaST-GShare are total orders over estimate content, so a memoized
-//     list is byte-identical to what the un-memoized path would produce —
-//     reuse can never change an artifact.
+//   - Rankings are content-deterministic: the comparators of INFless,
+//     FaST-GShare and HAS-GPU are total orders over estimate content, so a
+//     memoized list is byte-identical to what the un-memoized path would
+//     produce — reuse can never change an artifact.
 //   - Reuse is invalidation-free: a key's ranking is a pure function of
 //     the profile tables (immutable once the oracle builds them) and the
 //     static mean-service SLO split, so entries never go stale within a

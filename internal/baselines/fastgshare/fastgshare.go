@@ -8,7 +8,6 @@ package fastgshare
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/esg-sched/esg/internal/baselines"
@@ -18,98 +17,24 @@ import (
 	"github.com/esg-sched/esg/internal/sched"
 )
 
-// Scheduler is the FaST-GShare baseline. The embedded MemoHost carries
-// the shared baseline plan-memo layer (see package baselines and the
-// INFless twin) — the ranking is a pure function of which batch options
-// fit, so memoization changes no candidate, only skips the per-Plan
-// enumeration and sort.
-type Scheduler struct {
-	baselines.MemoHost
-
-	// MaxCandidates bounds the plan's fallback list (default 5).
-	MaxCandidates int
-
-	// Splits, when non-nil, shares SLO-split computation with other
-	// scheduler instances of a run grid (see sched.SplitMemo). The
-	// per-instance splits map still fronts it.
-	Splits *sched.SplitMemo
-
-	// splitMu guards the lazily filled splits memo; it and the shared plan
-	// memo are the only mutable state Plan touches.
-	splitMu sync.Mutex
-	splits  map[int][]time.Duration
-}
+// Scheduler is the FaST-GShare baseline: the shared ranking Plan (see
+// baselines.Ranker) under FaST-GShare's GPU-multiplexing ordering, plus
+// fragmentation-minimizing placement.
+type Scheduler struct{ baselines.Ranker }
 
 // New returns a FaST-GShare scheduler.
 func New() *Scheduler {
-	return &Scheduler{
-		MemoHost:      baselines.NewMemoHost(),
-		MaxCandidates: 5,
-		splits:        make(map[int][]time.Duration),
-	}
+	return &Scheduler{baselines.NewRanker("FaST-GShare", fastGShareOrder)}
 }
 
-// Name implements sched.Scheduler.
-func (s *Scheduler) Name() string { return "FaST-GShare" }
-
-func (s *Scheduler) stageBudget(env *sched.Env, q *queue.AFW) time.Duration {
-	s.splitMu.Lock()
-	defer s.splitMu.Unlock()
-	split, ok := s.splits[q.AppIndex]
-	if !ok {
-		if s.Splits != nil {
-			split = s.Splits.Split(env.Apps[q.AppIndex], env.Registry, env.SLOs[q.AppIndex])
-		} else {
-			split = sched.MeanServiceSplit(env.Apps[q.AppIndex], env.Registry, env.SLOs[q.AppIndex])
-		}
-		s.splits[q.AppIndex] = split
-	}
-	return split[q.Stage]
-}
-
-// Plan implements sched.Scheduler: among configurations meeting the static
-// stage deadline, pick the smallest GPU (then CPU) share, running as close
-// to the deadline as possible — producing the close-to-deadline latencies
-// §5.1 reports ("FaST-GShare always yields the largest latency").
-func (s *Scheduler) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.Plan {
-	sw := sched.StartStopwatch(env)
-	table := env.StageTable(q.AppIndex, q.Stage)
-	memo := s.PlanMemo()
-	key := baselines.Key{App: q.AppIndex, Stage: q.Stage, MaxBatch: table.QuantizeBatchBound(q.Len())}
-	if cands, ok := memo.Lookup(key); ok {
-		return sched.Plan{Candidates: cands, Overhead: sw.Elapsed()}
-	}
-	budget := s.stageBudget(env, q)
-
-	ests := table.LatencyAscending(q.Len())
-	var feasible []profile.Estimate
-	for _, e := range ests {
-		if e.Time > budget {
-			break
-		}
-		feasible = append(feasible, e)
-	}
-
-	plan := sched.Plan{Overhead: sw.Elapsed()}
-	if len(feasible) == 0 {
-		if len(ests) > 0 {
-			plan.Candidates = []profile.Config{ests[0].Config}
-		}
-		plan.Candidates = memo.Store(key, plan.Candidates)
-		return plan
-	}
+// fastGShareOrder ranks the stage's deadline-feasible configurations
+// smallest GPU (then CPU) share first, running as close to the deadline as
+// possible — producing the close-to-deadline latencies §5.1 reports
+// ("FaST-GShare always yields the largest latency").
+func fastGShareOrder(env *sched.Env, feasible []profile.Estimate) {
 	sort.SliceStable(feasible, func(i, j int) bool {
 		return fastGShareBetter(feasible[i], feasible[j])
 	})
-	max := s.MaxCandidates
-	if max <= 0 {
-		max = 5
-	}
-	for i := 0; i < len(feasible) && i < max; i++ {
-		plan.Candidates = append(plan.Candidates, feasible[i].Config)
-	}
-	plan.Candidates = memo.Store(key, plan.Candidates)
-	return plan
 }
 
 // fastGShareBetter orders configurations by FaST-GShare's GPU-multiplexing
@@ -139,9 +64,4 @@ func fastGShareBetter(a, b profile.Estimate) bool {
 // best-fit (§4.2).
 func (s *Scheduler) Place(env *sched.Env, q *queue.AFW, jobs []*queue.Job, cfg profile.Config, now time.Duration) *cluster.Invoker {
 	return sched.FragmentationPlace(env, cfg)
-}
-
-// MinConfig implements sched.Scheduler.
-func (s *Scheduler) MinConfig(env *sched.Env, q *queue.AFW) profile.Config {
-	return sched.DefaultMinConfig()
 }

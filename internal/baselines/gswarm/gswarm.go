@@ -52,12 +52,6 @@ type Scheduler struct {
 	// co-occurrence within servers, never across them.
 	ServerSize int
 
-	// Splits, when non-nil, shares SLO-split computation with other
-	// scheduler instances of a run grid (see sched.SplitMemo). The static
-	// table caches the resolved budgets, so sharing only speeds up the
-	// one-time build.
-	Splits *sched.SplitMemo
-
 	// mu guards the lazily built table and the hit/cold counters.
 	mu    sync.Mutex
 	table *table
@@ -195,7 +189,7 @@ func (s *Scheduler) build(env *sched.Env) *table {
 		t.serverOf[a] = best
 		t.pin[a] = make([]int, app.Len())
 		cfgs := make([]profile.Config, app.Len())
-		budgets := s.splitFor(env, a)
+		budgets := sched.MeanServiceSplit(app, env.Registry, env.SLOs[a])
 		for k := 0; k < app.Len(); k++ {
 			fn := app.Stage(k).Function
 			id, ok := pinnedFn[best][fn]
@@ -211,15 +205,6 @@ func (s *Scheduler) build(env *sched.Env) *table {
 		t.ladders[a] = baselines.NewLadder(cfgs)
 	}
 	return t
-}
-
-// splitFor resolves the application's mean-service SLO split, through the
-// shared memo when one is attached.
-func (s *Scheduler) splitFor(env *sched.Env, appIndex int) []time.Duration {
-	if s.Splits != nil {
-		return s.Splits.Split(env.Apps[appIndex], env.Registry, env.SLOs[appIndex])
-	}
-	return sched.MeanServiceSplit(env.Apps[appIndex], env.Registry, env.SLOs[appIndex])
 }
 
 // leastLoaded returns the member invoker with the smallest pinned work so

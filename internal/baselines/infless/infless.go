@@ -8,7 +8,6 @@ package infless
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/esg-sched/esg/internal/baselines"
@@ -19,88 +18,20 @@ import (
 	"github.com/esg-sched/esg/internal/units"
 )
 
-// Scheduler is the INFless baseline. The embedded MemoHost carries the
-// shared baseline plan-memo layer (see package baselines): the ranking
-// depends on the queue only through which batch options fit, so every
-// queue length in a quantized bucket reproduces the identical list —
-// memoizing skips the per-Plan enumeration and sort without changing a
-// single candidate.
-type Scheduler struct {
-	baselines.MemoHost
-
-	// MaxCandidates bounds the plan's fallback list (default 5).
-	MaxCandidates int
-
-	// Splits, when non-nil, shares SLO-split computation with other
-	// scheduler instances of a run grid (see sched.SplitMemo). The
-	// per-instance splits map still fronts it.
-	Splits *sched.SplitMemo
-
-	// splitMu guards the lazily filled splits memo; it and the shared plan
-	// memo are the only mutable state Plan touches.
-	splitMu sync.Mutex
-	splits  map[int][]time.Duration
-}
+// Scheduler is the INFless baseline: the shared ranking Plan (see
+// baselines.Ranker) under INFless's resource-efficiency ordering, plus
+// fragmentation-minimizing placement.
+type Scheduler struct{ baselines.Ranker }
 
 // New returns an INFless scheduler.
 func New() *Scheduler {
-	return &Scheduler{
-		MemoHost:      baselines.NewMemoHost(),
-		MaxCandidates: 5,
-		splits:        make(map[int][]time.Duration),
-	}
+	return &Scheduler{baselines.NewRanker("INFless", inflessOrder)}
 }
 
-// Name implements sched.Scheduler.
-func (s *Scheduler) Name() string { return "INFless" }
-
-func (s *Scheduler) stageBudget(env *sched.Env, q *queue.AFW) time.Duration {
-	s.splitMu.Lock()
-	defer s.splitMu.Unlock()
-	split, ok := s.splits[q.AppIndex]
-	if !ok {
-		if s.Splits != nil {
-			split = s.Splits.Split(env.Apps[q.AppIndex], env.Registry, env.SLOs[q.AppIndex])
-		} else {
-			split = sched.MeanServiceSplit(env.Apps[q.AppIndex], env.Registry, env.SLOs[q.AppIndex])
-		}
-		s.splits[q.AppIndex] = split
-	}
-	return split[q.Stage]
-}
-
-// Plan implements sched.Scheduler: enumerate the stage's configurations,
-// keep those meeting the static per-stage deadline, and rank them by
+// inflessOrder ranks the stage's deadline-feasible configurations by
 // throughput (jobs per second) — INFless's drive to maximize system
 // throughput, which over-allocates GPU resources exactly as §5.1 observes.
-func (s *Scheduler) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.Plan {
-	sw := sched.StartStopwatch(env)
-	table := env.StageTable(q.AppIndex, q.Stage)
-	memo := s.PlanMemo()
-	key := baselines.Key{App: q.AppIndex, Stage: q.Stage, MaxBatch: table.QuantizeBatchBound(q.Len())}
-	if cands, ok := memo.Lookup(key); ok {
-		return sched.Plan{Candidates: cands, Overhead: sw.Elapsed()}
-	}
-	budget := s.stageBudget(env, q)
-
-	ests := table.LatencyAscending(q.Len())
-	var feasible []profile.Estimate
-	for _, e := range ests {
-		if e.Time > budget {
-			break // latency-ascending: the rest are slower
-		}
-		feasible = append(feasible, e)
-	}
-
-	plan := sched.Plan{Overhead: sw.Elapsed()}
-	if len(feasible) == 0 {
-		// No configuration meets the stage deadline: run the fastest.
-		if len(ests) > 0 {
-			plan.Candidates = []profile.Config{ests[0].Config}
-		}
-		plan.Candidates = memo.Store(key, plan.Candidates)
-		return plan
-	}
+func inflessOrder(env *sched.Env, feasible []profile.Estimate) {
 	nodeCap := units.Resources{CPU: env.Cluster.Cfg.NodeCPU, GPU: env.Cluster.Cfg.NodeGPU}
 	var bestEff float64
 	for _, e := range feasible {
@@ -112,15 +43,6 @@ func (s *Scheduler) Plan(env *sched.Env, q *queue.AFW, now time.Duration) sched.
 	sort.SliceStable(feasible, func(i, j int) bool {
 		return inflessBetter(feasible[i], feasible[j], nodeCap, tier)
 	})
-	max := s.MaxCandidates
-	if max <= 0 {
-		max = 5
-	}
-	for i := 0; i < len(feasible) && i < max; i++ {
-		plan.Candidates = append(plan.Candidates, feasible[i].Config)
-	}
-	plan.Candidates = memo.Store(key, plan.Candidates)
-	return plan
 }
 
 // tierWindow admits configurations whose node efficiency is within this
@@ -206,9 +128,4 @@ func cappedGPU(e profile.Estimate) int {
 // best-fit policy (§4.2: INFless does not follow data locality).
 func (s *Scheduler) Place(env *sched.Env, q *queue.AFW, jobs []*queue.Job, cfg profile.Config, now time.Duration) *cluster.Invoker {
 	return sched.FragmentationPlace(env, cfg)
-}
-
-// MinConfig implements sched.Scheduler.
-func (s *Scheduler) MinConfig(env *sched.Env, q *queue.AFW) profile.Config {
-	return sched.DefaultMinConfig()
 }

@@ -3,7 +3,6 @@ package baselines
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/esg-sched/esg/internal/profile"
 	"github.com/esg-sched/esg/internal/sched"
@@ -22,9 +21,9 @@ type Key struct {
 	MaxBatch int
 }
 
-// Memo is the candidate-ranking cache shared by the adaptive baselines
-// (INFless, FaST-GShare): one frozen ranked []profile.Config per Key, with
-// hit/cold counters surfaced through sched.PlanCacheStats. Entries are
+// Memo is the candidate-ranking cache of the ranking baselines (INFless,
+// FaST-GShare, HAS-GPU; see Ranker): one frozen ranked []profile.Config per
+// Key, with hit/cold counters surfaced through sched.PlanCacheStats. Entries are
 // never invalidated — see the package comment for the contract that makes
 // that sound — and the bounded key space makes an eviction policy
 // unnecessary.
@@ -55,9 +54,6 @@ func NewMemo() *Memo {
 // every Plan call. The equivalence tests and the esgbench -baselinememo=false
 // knob use this as the un-memoized reference path.
 func (m *Memo) Disable() { m.disabled = true }
-
-// Disabled reports whether the memo has been disabled.
-func (m *Memo) Disabled() bool { return m.disabled }
 
 // Lookup returns the frozen ranked candidates memoized for k. The result
 // is read-only — hand it to the dispatcher as-is, never write through it.
@@ -139,46 +135,13 @@ func (m *Memo) Integrity() error {
 	return nil
 }
 
-// MemoUser is implemented by schedulers backed by a plan Memo (INFless,
-// FaST-GShare). The experiment runner uses it to disable memoization for
-// A/B equivalence runs without knowing the concrete scheduler types.
+// MemoUser is implemented by schedulers backed by a plan Memo (the ranking
+// baselines, through Ranker). The experiment runner uses it to disable
+// memoization for A/B equivalence runs without knowing the concrete
+// scheduler types.
 type MemoUser interface {
 	PlanMemo() *Memo
 }
-
-// MemoHost is the plumbing a memoizing baseline scheduler embeds to
-// satisfy MemoUser and sched.PlanCaching in one place: the memo field,
-// its accessor, and the stats/enable surface. Initialize with
-// NewMemoHost; the contract then lives here instead of being repeated
-// per scheduler.
-type MemoHost struct {
-	memo *Memo
-}
-
-// NewMemoHost returns a host around a fresh, enabled memo.
-func NewMemoHost() MemoHost { return MemoHost{memo: NewMemo()} }
-
-// PlanMemo implements MemoUser.
-func (h MemoHost) PlanMemo() *Memo { return h.memo }
-
-// SetPlanMemo replaces the host's memo with a shared one (pointer
-// receiver, so it reaches the embedded host of a scheduler addressed by
-// pointer). Rankings are pure functions of their key for a fixed profile
-// registry and configuration space, so a grid of runs over one registry —
-// the planet scenario's schedulers × arrival shapes — can pay each cold
-// ranking once and share the frozen result; runs over different registries
-// or spaces must not share a memo.
-func (h *MemoHost) SetPlanMemo(m *Memo) { h.memo = m }
-
-// EnablePlanCache implements sched.PlanCaching. The baseline memo is
-// structural and always on (its key space is bounded, see the package
-// comment), so there is nothing to attach or size; the method exists so
-// RunConfig.PlanCache treats every caching scheduler uniformly.
-func (h MemoHost) EnablePlanCache(capacity int, granularity time.Duration) {}
-
-// PlanCacheStats implements sched.PlanCaching: the memo's hit/cold
-// counters, reported with the run's metrics.
-func (h MemoHost) PlanCacheStats() sched.PlanCacheStats { return h.memo.Stats() }
 
 // ConfigLess is the shared final tie-break of the baseline ranking
 // comparators: lexicographic over (Batch, CPU, GPU). It makes each

@@ -86,7 +86,7 @@ func NewFlagSet(o *Options) *flag.FlagSet {
 	fs.IntVar(&o.Parallel, "parallel", 1, "worker-pool size for independent scenario runs (0 = GOMAXPROCS); output is byte-identical to -parallel 1 at the same seed when -overhead is not \"measured\"")
 	fs.IntVar(&o.CellShards, "cellshards", 1, "ignored: each cell plans on one goroutine (kept so older command lines still parse)")
 	fs.BoolVar(&o.PlanCache, "plancache", false, "enable the memoized ESG_1Q plan cache (per run: 4096 entries, 5ms GSLO buckets, each entry answering a feasibility interval of targets)")
-	fs.BoolVar(&o.BaselineMemo, "baselinememo", true, "keep the always-on baseline plan memo (INFless/FaST-GShare candidate rankings); -baselinememo=false re-ranks on every Plan call — the un-memoized reference for A/B equivalence and benchmarking, byte-identical output")
+	fs.BoolVar(&o.BaselineMemo, "baselinememo", true, "keep the always-on baseline plan memo (INFless/FaST-GShare/HAS-GPU candidate rankings); -baselinememo=false re-ranks on every Plan call — the un-memoized reference for A/B equivalence and benchmarking, byte-identical output")
 	fs.StringVar(&o.Overhead, "overhead", "measured", "how scheduling overhead is charged on the simulated clock: measured (paper default, wall clock — run-dependent), none, or fixed")
 	fs.BoolVar(&o.Wall, "wall", true, "take wall-clock readings for the artifacts' host-time cells (the scale table's Wall column, sec53's ms columns); -wall=false zeroes them so two runs' full output files diff byte-identically")
 	fs.BoolVar(&o.Quiet, "quiet", false, "suppress per-scenario progress and counter summaries on stderr")

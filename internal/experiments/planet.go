@@ -5,10 +5,6 @@ import (
 	"math"
 
 	"github.com/esg-sched/esg/internal/baselines"
-	"github.com/esg-sched/esg/internal/baselines/fastgshare"
-	"github.com/esg-sched/esg/internal/baselines/gswarm"
-	"github.com/esg-sched/esg/internal/baselines/hasgpu"
-	"github.com/esg-sched/esg/internal/baselines/infless"
 	"github.com/esg-sched/esg/internal/controller"
 	"github.com/esg-sched/esg/internal/core"
 	"github.com/esg-sched/esg/internal/rng"
@@ -60,13 +56,12 @@ func planetShapes(arrival string) ([]workload.Shape, error) {
 }
 
 // planetMemos is the grid's shared cold work: every cell re-derives the
-// same profile-driven artifacts (dominator distributions, SLO splits,
-// baseline candidate rankings) because each builds a fresh scheduler, so
-// the grid pays each once instead of once per cell — the same contract
+// same profile-driven artifacts (dominator distributions, baseline
+// candidate rankings) because each builds a fresh scheduler, so the grid
+// pays each once instead of once per cell — the same contract
 // aquatope.TrainingMemo already applies to BO training.
 type planetMemos struct {
-	dists  *core.DistMemo
-	splits *sched.SplitMemo
+	dists *core.DistMemo
 	// plans shares one baseline ranking memo per scheduler name: rankings
 	// are pure in (app, stage, batch bound) for a fixed registry, and the
 	// grid's cells differ only in the arrival process.
@@ -75,25 +70,15 @@ type planetMemos struct {
 
 func newPlanetMemos() *planetMemos {
 	return &planetMemos{
-		dists:  core.NewDistMemo(),
-		splits: sched.NewSplitMemo(),
-		plans:  make(map[string]*baselines.Memo),
+		dists: core.NewDistMemo(),
+		plans: make(map[string]*baselines.Memo),
 	}
 }
 
 // attach hangs the shared memos on a freshly built scheduler.
 func (m *planetMemos) attach(name string, s sched.Scheduler) {
-	switch sc := s.(type) {
-	case *core.ESG:
-		sc.Dists = m.dists
-	case *infless.Scheduler:
-		sc.Splits = m.splits
-	case *fastgshare.Scheduler:
-		sc.Splits = m.splits
-	case *gswarm.Scheduler:
-		sc.Splits = m.splits
-	case *hasgpu.Scheduler:
-		sc.Splits = m.splits
+	if e, ok := s.(*core.ESG); ok {
+		e.Dists = m.dists
 	}
 	if mu, ok := s.(interface{ SetPlanMemo(*baselines.Memo) }); ok {
 		memo, ok2 := m.plans[name]

@@ -91,7 +91,7 @@ type Runner struct {
 	// it (sched.PlanCaching). Each run gets its own cache.
 	PlanCache bool
 	// DisableBaselineMemo turns the always-on baseline plan memo
-	// (INFless/FaST-GShare candidate rankings, see internal/baselines)
+	// (INFless/FaST-GShare/HAS-GPU candidate rankings, see internal/baselines)
 	// off for the runner's cells — the un-memoized reference path for
 	// A/B equivalence runs and benchmarking (esgbench
 	// -baselinememo=false). Output is byte-identical either way.

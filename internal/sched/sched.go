@@ -1,7 +1,8 @@
 // Package sched defines the interface between the emulated Controller and
 // the scheduling algorithms (ESG and the four baselines), plus the helpers
 // they share: the platform view (Env), candidate plans, placement policies,
-// and the mean-service-time SLO split used by INFless and FaST-GShare.
+// and the mean-service-time SLO split used by the ranking baselines
+// (INFless, FaST-GShare, HAS-GPU) and GSwarm.
 package sched
 
 import (

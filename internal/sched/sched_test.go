@@ -55,6 +55,31 @@ func TestMeanServiceSplit(t *testing.T) {
 	}
 }
 
+// TestMeanServiceSplitSingleStageApp: a single-stage DAG's split is the
+// whole SLO — the one-element proportional distribution.
+func TestMeanServiceSplitSingleStageApp(t *testing.T) {
+	app := workflow.Chain("solo", profile.Classification)
+	got := MeanServiceSplit(app, profile.Table3Registry(), time.Second)
+	if len(got) != 1 || got[0] != time.Second {
+		t.Errorf("single-stage split = %v, want [1s]", got)
+	}
+}
+
+// TestMeanServiceSplitZeroSLO: a zero SLO distributes to all-zero budgets
+// (every stage infeasible) without dividing by zero or panicking.
+func TestMeanServiceSplitZeroSLO(t *testing.T) {
+	app := workflow.EvaluationApps()[0]
+	got := MeanServiceSplit(app, profile.Table3Registry(), 0)
+	if len(got) != app.Len() {
+		t.Fatalf("split has %d budgets, want %d", len(got), app.Len())
+	}
+	for i, d := range got {
+		if d != 0 {
+			t.Errorf("stage %d budget = %v, want 0", i, d)
+		}
+	}
+}
+
 func TestStopwatchModes(t *testing.T) {
 	envNone := &Env{Overhead: OverheadNone}
 	if d := StartStopwatch(envNone).Elapsed(); d != 0 {
